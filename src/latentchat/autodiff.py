@@ -169,15 +169,6 @@ def log_sigmoid(a):
     return Tensor(out, parents=(a,), vjp=lambda g: [(a, g * (1.0 - sig))])
 
 
-def sigmoid(a):
-    out = np.empty_like(a.data)
-    pos = a.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ex = np.exp(a.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return Tensor(out, parents=(a,), vjp=lambda g: [(a, g * out * (1.0 - out))])
-
-
 def tanh(a):
     out = np.tanh(a.data)
     return Tensor(out, parents=(a,), vjp=lambda g: [(a, g * (1.0 - out * out))])

@@ -6,7 +6,9 @@ sorted keys, then the concatenated parameter/optimizer arrays in header
 order.  Save/load/save round-trips byte-identically.
 """
 
+import contextlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -43,31 +45,72 @@ def save(path, model, optimizer=None, rng_state=None, epoch=0, extra=None):
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    # write beside the target and rename over it, so that a crash mid-save
+    # leaves the previous file whole
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for _, arr in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _read_header(fh, path):
+    if fh.read(len(MAGIC)) != MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    raw = fh.read(8)
+    if len(raw) != 8:
+        raise CheckpointError(f"{path}: truncated before the header length")
+    (n,) = struct.unpack("<Q", raw)
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise CheckpointError(f"{path}: header needs {n} bytes, {left} are left")
+    try:
+        header = json.loads(fh.read(n).decode())
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"{path}: unreadable header: {exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    return header
+
+
+def _read_payload(fh, path, header):
+    """The float64 payload, checked to hold exactly the entries of the
+    header's parameter table, which lie back to back in table order."""
+    try:
+        n_values = 0
+        for e in header["params"]:
+            if e["offset"] != n_values:
+                raise ValueError
+            n_values += int(np.prod(e["shape"]))
+    except (KeyError, TypeError, ValueError):
+        raise CheckpointError(f"{path}: malformed parameter table") from None
+    data = fh.read()
+    if len(data) != 8 * n_values:
+        raise CheckpointError(
+            f"{path}: payload is {len(data)} bytes, its entries need {8 * n_values}"
+        )
+    return np.frombuffer(data, dtype="<f8")
 
 
 def read_header(path):
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        return json.loads(fh.read(n).decode())
+        return _read_header(fh, path)
 
 
 def load(path, model, optimizer=None):
     """Restore parameters (and optimizer state) in place; returns the
     header for config/rng/epoch access."""
-    header = read_header(path)
     with open(path, "rb") as fh:
-        fh.read(len(MAGIC))
-        (n,) = struct.unpack("<Q", fh.read(8))
-        fh.read(n)
-        payload = np.frombuffer(fh.read(), dtype="<f8")
+        header = _read_header(fh, path)
+        payload = _read_payload(fh, path, header)
     by_name = {e["name"]: e for e in header["params"]}
 
     def fetch(name, expect_shape):

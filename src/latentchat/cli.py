@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 configuration error, 2 data or input error,
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -21,7 +20,7 @@ from .errors import (
     NumericError,
     TrainingError,
 )
-from .generate import generate
+from .generate import default_latent, generate
 from .metrics import evaluate, gate_analysis, write_generations, write_report
 from .models import build_model
 from .models.topic import top_words_per_topic
@@ -156,14 +155,6 @@ def _load_bundle(checkpoint_path):
     return model, vocab, stopwords, cfg
 
 
-def _default_latent(model, cfg, requested):
-    if requested is not None:
-        return requested
-    if model.kind == "s2s":
-        return "none"
-    return "conditional" if cfg.latent_mode == "conditional" else "prior"
-
-
 def cmd_generate(args):
     model, vocab, stopwords, cfg = _load_bundle(args.checkpoint)
     with open(args.prompts, encoding="utf-8") as fh:
@@ -179,7 +170,7 @@ def cmd_generate(args):
     samples = generate(
         model, vocab, pairs,
         strategy=args.strategy, temperature=args.temperature,
-        latent=_default_latent(model, cfg, args.latent),
+        latent=args.latent or default_latent(model),
         n=args.n, seed=args.seed, max_len=cfg.max_len, gate_mode=cfg.gate_mode,
         prompt_texts=lines,
     )
@@ -203,12 +194,9 @@ def cmd_evaluate(args):
         pairs = split_pairs(pairs)[args.split]
     if not pairs:
         raise DataError(f"split '{args.split}' of {args.corpus} is empty")
-    latent = args.latent
-    if latent is None and model.kind != "ntm":
-        latent = _default_latent(model, cfg, None)
     report = evaluate(
         model, vocab, stopwords, pairs,
-        seed=args.seed, strategy=args.strategy, latent=latent,
+        seed=args.seed, strategy=args.strategy, latent=args.latent,
     )
     for k, v in report.as_dict().items():
         print(f"{k}: {v}")

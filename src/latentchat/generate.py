@@ -4,18 +4,27 @@ drawn per response from the standard prior or the prompt-conditional one.
 Every (prompt, response) stream owns a derived RNG so output is
 reproducible regardless of batching."""
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
+from .kernels import sigmoid
 from .models.topic import TopicGatedSeq2Seq, topic_proportion
-from .text import N_RESERVED, Batch, assemble_batch
 
 GREEDY, SAMPLE = "greedy", "sample"
 LATENT_MODES = ("none", "prior", "conditional")
+
+
+def default_latent(model):
+    """The latent mode to decode with when none is asked for: none for
+    s2s, otherwise the prior the model was trained with."""
+    if model.kind == "s2s":
+        return "none"
+    return "conditional" if model.cfg.latent_mode == "conditional" else "prior"
 
 
 @dataclass
@@ -33,9 +42,13 @@ def _stream_rng(seed, prompt_index, response_index):
     )
 
 
-def _check_combo(model, strategy, latent):
+def _check_combo(model, strategy, latent, n, temperature):
     if strategy not in (GREEDY, SAMPLE):
         raise ConfigError(f"unknown decoding strategy '{strategy}'")
+    if n < 1:
+        raise ConfigError(f"n must be at least 1, got {n}")
+    if strategy == SAMPLE and not (math.isfinite(temperature) and temperature > 0):
+        raise ConfigError(f"sampling temperature must be finite and > 0, got {temperature}")
     if latent not in LATENT_MODES:
         raise ConfigError(f"unknown latent mode '{latent}'")
     kind = model.kind
@@ -56,7 +69,7 @@ def generate(model, vocab, prompt_pairs, strategy=GREEDY, temperature=1.0,
 
     prompt_pairs: DialoguePairs whose prompt side is used (response side
     ignored).  Returns a list of GenerationSample."""
-    _check_combo(model, strategy, latent)
+    _check_combo(model, strategy, latent, n, temperature)
     b = len(prompt_pairs)
     u_max = max(p.U for p in prompt_pairs)
     prompt = np.zeros((b, u_max), dtype=np.int64)
@@ -120,7 +133,7 @@ def _decode_round(model, prompt, prompt_len, rngs, strategy, temperature,
         logits = model.decoder.logits(h).data.copy()
         if theta_rows is not None:
             z = ad.matmul(h, model.w2).data[:, 0]
-            gate_p = 1.0 / (1.0 + np.exp(-z))
+            gate_p = sigmoid(z)
             for i in range(b):
                 if finished[i]:
                     continue

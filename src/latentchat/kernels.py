@@ -1,42 +1,15 @@
-"""Fused numeric kernels for the hot inner loops (LSTM gates, layer norm).
-
-Every kernel has a pure-numpy implementation and a numba ``@njit`` twin.
-The active backend is chosen once at import time from the environment
-variable ``LATENTCHAT_BACKEND``:
-
-    LATENTCHAT_BACKEND=numpy   force the numpy fallback
-    LATENTCHAT_BACKEND=numba   require numba (ImportError if missing)
-
-unset: use numba when importable, numpy otherwise.
+"""Fused numeric kernels for the hot inner loops (LSTM gates, layer norm),
+in plain numpy.
 
 Gate block order in the packed pre-activation matrix is (i, f, o, g):
 input gate, forget gate, output gate, candidate.
 """
 
-import os
-
 import numpy as np
 
-_requested = os.environ.get("LATENTCHAT_BACKEND", "").lower()
 
-if _requested == "numpy":
-    NUMBA_ENABLED = False
-else:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-        NUMBA_ENABLED = False
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def _sigmoid(x):
+def sigmoid(x):
+    """Logistic function that never overflows: exp is only taken of -|x|."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -45,18 +18,18 @@ def _sigmoid(x):
     return out
 
 
-def lstm_gates_fwd_np(pre, c_prev):
+def lstm_gates_fwd(pre, c_prev):
     d = c_prev.shape[1]
-    i = _sigmoid(pre[:, :d])
-    f = _sigmoid(pre[:, d : 2 * d])
-    o = _sigmoid(pre[:, 2 * d : 3 * d])
+    i = sigmoid(pre[:, :d])
+    f = sigmoid(pre[:, d : 2 * d])
+    o = sigmoid(pre[:, 2 * d : 3 * d])
     g = np.tanh(pre[:, 3 * d :])
     c = f * c_prev + i * g
     h = o * np.tanh(c)
     return h, c, i, f, o, g
 
 
-def lstm_gates_bwd_np(dh, dc_out, i, f, o, g, c, c_prev):
+def lstm_gates_bwd(dh, dc_out, i, f, o, g, c, c_prev):
     tc = np.tanh(c)
     dc = dc_out + dh * o * (1.0 - tc * tc)
     do = dh * tc
@@ -76,7 +49,7 @@ def lstm_gates_bwd_np(dh, dc_out, i, f, o, g, c, c_prev):
     return dpre, dc_prev
 
 
-def layer_norm_fwd_np(x, gain, bias, eps):
+def layer_norm_fwd(x, gain, bias, eps):
     mu = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
@@ -85,7 +58,7 @@ def layer_norm_fwd_np(x, gain, bias, eps):
     return y, xhat, inv_std[:, 0]
 
 
-def layer_norm_bwd_np(dy, xhat, inv_std, gain):
+def layer_norm_bwd(dy, xhat, inv_std, gain):
     n = xhat.shape[1]
     dxhat = dy * gain
     s1 = dxhat.sum(axis=1, keepdims=True)
@@ -94,124 +67,3 @@ def layer_norm_bwd_np(dy, xhat, inv_std, gain):
     dgain = (dy * xhat).sum(axis=0)
     dbias = dy.sum(axis=0)
     return dx, dgain, dbias
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _lstm_gates_fwd_nb(pre, c_prev):
-        b, d = c_prev.shape
-        h = np.empty((b, d))
-        c = np.empty((b, d))
-        i = np.empty((b, d))
-        f = np.empty((b, d))
-        o = np.empty((b, d))
-        g = np.empty((b, d))
-        for r in range(b):
-            for j in range(d):
-                i[r, j] = 1.0 / (1.0 + np.exp(-pre[r, j]))
-                f[r, j] = 1.0 / (1.0 + np.exp(-pre[r, d + j]))
-                o[r, j] = 1.0 / (1.0 + np.exp(-pre[r, 2 * d + j]))
-                g[r, j] = np.tanh(pre[r, 3 * d + j])
-                c[r, j] = f[r, j] * c_prev[r, j] + i[r, j] * g[r, j]
-                h[r, j] = o[r, j] * np.tanh(c[r, j])
-        return h, c, i, f, o, g
-
-    @njit(cache=True)
-    def _lstm_gates_bwd_nb(dh, dc_out, i, f, o, g, c, c_prev):
-        b, d = c.shape
-        dpre = np.empty((b, 4 * d))
-        dc_prev = np.empty((b, d))
-        for r in range(b):
-            for j in range(d):
-                tc = np.tanh(c[r, j])
-                dc = dc_out[r, j] + dh[r, j] * o[r, j] * (1.0 - tc * tc)
-                do = dh[r, j] * tc
-                dpre[r, j] = dc * g[r, j] * i[r, j] * (1.0 - i[r, j])
-                dpre[r, d + j] = dc * c_prev[r, j] * f[r, j] * (1.0 - f[r, j])
-                dpre[r, 2 * d + j] = do * o[r, j] * (1.0 - o[r, j])
-                dpre[r, 3 * d + j] = dc * i[r, j] * (1.0 - g[r, j] * g[r, j])
-                dc_prev[r, j] = dc * f[r, j]
-        return dpre, dc_prev
-
-    @njit(cache=True)
-    def _layer_norm_fwd_nb(x, gain, bias, eps):
-        b, n = x.shape
-        y = np.empty((b, n))
-        xhat = np.empty((b, n))
-        inv_std = np.empty(b)
-        for r in range(b):
-            mu = 0.0
-            for j in range(n):
-                mu += x[r, j]
-            mu /= n
-            var = 0.0
-            for j in range(n):
-                dev = x[r, j] - mu
-                var += dev * dev
-            var /= n
-            istd = 1.0 / np.sqrt(var + eps)
-            inv_std[r] = istd
-            for j in range(n):
-                xhat[r, j] = (x[r, j] - mu) * istd
-                y[r, j] = xhat[r, j] * gain[j] + bias[j]
-        return y, xhat, inv_std
-
-    @njit(cache=True)
-    def _layer_norm_bwd_nb(dy, xhat, inv_std, gain):
-        b, n = xhat.shape
-        dx = np.empty((b, n))
-        dgain = np.zeros(n)
-        dbias = np.zeros(n)
-        for r in range(b):
-            s1 = 0.0
-            s2 = 0.0
-            for j in range(n):
-                dxh = dy[r, j] * gain[j]
-                s1 += dxh
-                s2 += dxh * xhat[r, j]
-                dgain[j] += dy[r, j] * xhat[r, j]
-                dbias[j] += dy[r, j]
-            for j in range(n):
-                dxh = dy[r, j] * gain[j]
-                dx[r, j] = (inv_std[r] / n) * (n * dxh - s1 - xhat[r, j] * s2)
-        return dx, dgain, dbias
-
-    def lstm_gates_fwd_nb(pre, c_prev):
-        return _lstm_gates_fwd_nb(
-            np.ascontiguousarray(pre), np.ascontiguousarray(c_prev)
-        )
-
-    def lstm_gates_bwd_nb(dh, dc_out, i, f, o, g, c, c_prev):
-        return _lstm_gates_bwd_nb(
-            np.ascontiguousarray(dh),
-            np.ascontiguousarray(dc_out),
-            i, f, o, g, c,
-            np.ascontiguousarray(c_prev),
-        )
-
-    def layer_norm_fwd_nb(x, gain, bias, eps):
-        return _layer_norm_fwd_nb(
-            np.ascontiguousarray(x),
-            np.ascontiguousarray(gain),
-            np.ascontiguousarray(bias),
-            eps,
-        )
-
-    def layer_norm_bwd_nb(dy, xhat, inv_std, gain):
-        return _layer_norm_bwd_nb(
-            np.ascontiguousarray(dy), xhat, inv_std, np.ascontiguousarray(gain)
-        )
-
-    lstm_gates_fwd = lstm_gates_fwd_nb
-    lstm_gates_bwd = lstm_gates_bwd_nb
-    layer_norm_fwd = layer_norm_fwd_nb
-    layer_norm_bwd = layer_norm_bwd_nb
-else:
-    lstm_gates_fwd = lstm_gates_fwd_np
-    lstm_gates_bwd = lstm_gates_bwd_np
-    layer_norm_fwd = layer_norm_fwd_np
-    layer_norm_bwd = layer_norm_bwd_np

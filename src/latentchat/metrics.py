@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .generate import generate
+from .generate import default_latent, generate
 from .text import N_RESERVED, assemble_batch
 
 _EXCLUDED_FROM_ZIPF = {"<pad>", "<s>", "</s>"}
@@ -101,9 +101,7 @@ def evaluate(model, vocab, stopwords, pairs, seed=0, n_responses=5,
         if strategy is None:
             strategy = "greedy"
         if latent is None:
-            latent = "none" if model.kind == "s2s" else cfg.latent_mode
-            if latent == "unconditional":
-                latent = "prior"
+            latent = default_latent(model)
         samples = generate(
             model, vocab, pairs, strategy=strategy, latent=latent,
             n=n_responses, seed=seed, max_len=cfg.max_len,

@@ -1,10 +1,5 @@
 """Shared model scaffolding: parameter registry and batch forward glue."""
 
-import numpy as np
-
-from .. import autodiff as ad
-from ..autodiff import Tensor
-
 
 class BaseModel:
     kind = "base"

@@ -70,18 +70,22 @@ class GaussianHead:
         return DiagonalGaussian(self.mu(x), self.logvar(x))
 
 
-class LatentSeq2Seq(Seq2Seq):
-    """Encoder-decoder with a sentence-level Gaussian concatenated to the
-    decoder input at every step; trained on the variational bound."""
+def eval_noise(rng, b, k):
+    """Reparameterisation noise for evaluation: drawn from rng, or zero
+    (the posterior mean) without one."""
+    return rng.standard_normal((b, k)) if rng is not None else np.zeros((b, k))
 
-    kind = "lvs2s"
 
-    def __init__(self, cfg, rng):
-        super().__init__(cfg, rng, extra_in=cfg.k)
-        # wide init on the latent input rows: at the default scale the
-        # decoder ignores nu and the posterior collapses before the
-        # latent path can contribute
-        self.params["dec.l1.Wx"].data[cfg.d_emb:, :] *= 12.5
+class GaussianLatentSeq2Seq(Seq2Seq):
+    """Encoder-decoder with a sentence-level diagonal Gaussian: the prior
+    (standard, or conditioned on the prompt summary), the bag-of-words
+    inference net and the evaluation sums.  Subclasses decide how the
+    latent reaches the decoder and define objective and approx_nll."""
+
+    def _build_latent_heads(self, rng):
+        """Prior and inference nets.  Called after the subclass's own
+        parameters, which fixes the init draws and the parameter order."""
+        cfg = self.cfg
         self.conditional = cfg.latent_mode == "conditional"
         if self.conditional:
             self.prior_net = GaussianHead(
@@ -99,6 +103,37 @@ class LatentSeq2Seq(Seq2Seq):
     def posterior(self, batch):
         bows = Tensor(np.concatenate([batch.bow_prompt, batch.bow_response], axis=1))
         return self.infer_net(bows)
+
+    def eval_sums(self, batch, rng=None):
+        eps = eval_noise(rng, batch.size, self.cfg.k)
+        stats, approx_nll = self._eval_pass(batch, eps)
+        return {
+            "approx_nll": approx_nll,
+            "tokens": stats["tokens"],
+            "per_seq_neg_bound": stats["per_seq_neg_bound"],
+            "per_seq_kl": stats["per_seq_kl"],
+            "n_seqs": batch.size,
+        }
+
+    def _eval_pass(self, batch, eps):
+        """Bound statistics at eps and the approximate NLL."""
+        _, stats = self.objective(batch, w=1.0, training=False, eps=eps)
+        return stats, self.approx_nll(batch)
+
+
+class LatentSeq2Seq(GaussianLatentSeq2Seq):
+    """Encoder-decoder with the latent concatenated to the decoder input at
+    every step; trained on the variational bound."""
+
+    kind = "lvs2s"
+
+    def __init__(self, cfg, rng):
+        super().__init__(cfg, rng, extra_in=cfg.k)
+        # wide init on the latent input rows: at the default scale the
+        # decoder ignores nu and the posterior collapses before the
+        # latent path can contribute
+        self.params["dec.l1.Wx"].data[cfg.d_emb:, :] *= 12.5
+        self._build_latent_heads(rng)
 
     def objective(self, batch, w=1.0, training=True, rng=None, eps=None):
         _, finals, u = self.encode(batch, training=training, rng=rng)
@@ -130,18 +165,3 @@ class LatentSeq2Seq(Seq2Seq):
         h_tops = self.decoder_h_tops(batch, finals, nu=p.mu)
         _, ll_sum = self.word_loglik(h_tops, batch)
         return -float(ll_sum.data)
-
-    def eval_sums(self, batch, rng=None):
-        eps = (
-            rng.standard_normal((batch.size, self.cfg.k))
-            if rng is not None
-            else np.zeros((batch.size, self.cfg.k))
-        )
-        _, stats = self.objective(batch, w=1.0, training=False, eps=eps)
-        return {
-            "approx_nll": self.approx_nll(batch),
-            "tokens": stats["tokens"],
-            "per_seq_neg_bound": stats["per_seq_neg_bound"],
-            "per_seq_kl": stats["per_seq_kl"],
-            "n_seqs": batch.size,
-        }

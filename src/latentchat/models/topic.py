@@ -7,11 +7,18 @@ import numpy as np
 from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..errors import InputError, TrainingError
-from ..layers import MLP, init_uniform
+from ..kernels import sigmoid
+from ..layers import init_uniform
 from ..text import N_RESERVED
 from .base import BaseModel, flat_targets, per_sequence
-from .latent import DiagonalGaussian, GaussianHead, kl_diag, reparam_sample
-from .seq2seq import Seq2Seq
+from .latent import (
+    DiagonalGaussian,
+    GaussianHead,
+    GaussianLatentSeq2Seq,
+    eval_noise,
+    kl_diag,
+    reparam_sample,
+)
 
 
 def topic_proportion(nu, w1):
@@ -73,7 +80,7 @@ def _nonreserved_row_mask(vocab_size):
     return m
 
 
-class TopicGatedSeq2Seq(Seq2Seq):
+class TopicGatedSeq2Seq(GaussianLatentSeq2Seq):
     """Encoder-decoder whose word logits are additively fused with a
     gated topic contribution beta @ theta; the per-word binary gate is
     observed from the stop-word labels during training."""
@@ -99,29 +106,13 @@ class TopicGatedSeq2Seq(Seq2Seq):
             self.params["infer_proj_wa"] = self.wa
         self.w2 = init_uniform(rng, (cfg.d, 1))
         self.params["gate_w2"] = self.w2
-        self.conditional = cfg.latent_mode == "conditional"
-        if self.conditional:
-            self.prior_net = GaussianHead(
-                rng, cfg.d, cfg.mlp_hidden, k, "prior_net", self.params
-            )
-        self.infer_net = GaussianHead(
-            rng, 2 * L, cfg.mlp_hidden, k, "infer_net", self.params
-        )
+        self._build_latent_heads(rng)
 
     # ----- topic pieces -----------------------------------------------------
 
     def masked_beta(self):
         """beta with reserved-token rows pinned to zero (no gradient)."""
         return self.beta * self._row_mask
-
-    def prior(self, u_summary, b):
-        if self.conditional:
-            return self.prior_net(u_summary)
-        return DiagonalGaussian.standard(b, self.cfg.k)
-
-    def posterior(self, batch):
-        bows = Tensor(np.concatenate([batch.bow_prompt, batch.bow_response], axis=1))
-        return self.infer_net(bows)
 
     def fused_loglik(self, h_tops, batch, theta, gate_flat):
         """Word log-likelihood with the gated topic term added to the
@@ -148,6 +139,12 @@ class TopicGatedSeq2Seq(Seq2Seq):
     # ----- training / evaluation -------------------------------------------
 
     def objective(self, batch, w=1.0, training=True, rng=None, eps=None):
+        obj, stats, _ = self._bound(batch, w, training, rng, eps)
+        return obj, stats
+
+    def _bound(self, batch, w, training, rng, eps):
+        """objective() plus what the approximate NLL can reuse: the decoder
+        top states, the prior and the gate log-likelihood sum."""
         if batch.gate_labels is None:
             raise TrainingError("topic-gated training requires gate labels")
         _, finals, u = self.encode(batch, training=training, rng=rng)
@@ -158,7 +155,7 @@ class TopicGatedSeq2Seq(Seq2Seq):
         nu = reparam_sample(q, eps)
         theta = topic_proportion(nu, self.wa)
         h_tops = self.decoder_h_tops(batch, finals, training=training, rng=rng)
-        _, mask, gate = flat_targets(batch)
+        _, _, gate = flat_targets(batch)
         ll_flat, ll_sum = self.fused_loglik(h_tops, batch, theta, gate)
         gate_flat, gate_sum = self.gate_loglik(h_tops, batch)
         kl_rows = kl_diag(q, p)
@@ -182,34 +179,28 @@ class TopicGatedSeq2Seq(Seq2Seq):
             ),
             "per_seq_kl": kl_rows.data.copy(),
         }
-        return obj, stats
+        return obj, stats, (h_tops, p, gate_sum)
 
     def approx_nll(self, batch):
         """Per-token probability p(y|h,l,theta-hat) p(l|h) with theta-hat
         from the prior mean and l from the reference stop-word labels."""
         _, finals, u = self.encode(batch, training=False)
         p = self.prior(u, batch.size)
-        theta_hat = topic_proportion(p.mu, self.w1)
         h_tops = self.decoder_h_tops(batch, finals)
-        _, mask, gate = flat_targets(batch)
-        _, ll_sum = self.fused_loglik(h_tops, batch, theta_hat, gate)
         _, gate_sum = self.gate_loglik(h_tops, batch)
+        return self._approx_nll(batch, h_tops, p, gate_sum)
+
+    def _approx_nll(self, batch, h_tops, p, gate_sum):
+        theta_hat = topic_proportion(p.mu, self.w1)
+        _, _, gate = flat_targets(batch)
+        _, ll_sum = self.fused_loglik(h_tops, batch, theta_hat, gate)
         return -(float(ll_sum.data) + float(gate_sum.data))
 
-    def eval_sums(self, batch, rng=None):
-        eps = (
-            rng.standard_normal((batch.size, self.cfg.k))
-            if rng is not None
-            else np.zeros((batch.size, self.cfg.k))
-        )
-        _, stats = self.objective(batch, w=1.0, training=False, eps=eps)
-        return {
-            "approx_nll": self.approx_nll(batch),
-            "tokens": stats["tokens"],
-            "per_seq_neg_bound": stats["per_seq_neg_bound"],
-            "per_seq_kl": stats["per_seq_kl"],
-            "n_seqs": batch.size,
-        }
+    def _eval_pass(self, batch, eps):
+        # the decoder states and the gate term do not depend on nu, so one
+        # encode and one decode serve both the bound and the approximate NLL
+        _, stats, reuse = self._bound(batch, 1.0, False, None, eps)
+        return stats, self._approx_nll(batch, *reuse)
 
     def gate_probs_forced(self, batch):
         """sigmoid(W2^T h_t) at reference positions -> ([T*B] probs,
@@ -217,7 +208,7 @@ class TopicGatedSeq2Seq(Seq2Seq):
         _, finals, _ = self.encode(batch, training=False)
         h_tops = self.decoder_h_tops(batch, finals)
         z = self.gate_logits(h_tops)
-        probs = 1.0 / (1.0 + np.exp(-z.data))
+        probs = sigmoid(z.data)
         tgt, mask, _ = flat_targets(batch)
         return probs, tgt, mask
 
@@ -289,11 +280,7 @@ class NeuralTopicModel(BaseModel):
 
     def eval_sums(self, batch, rng=None):
         bags = batch.bow_prompt + batch.bow_response
-        eps = (
-            rng.standard_normal((bags.shape[0], self.cfg.k))
-            if rng is not None
-            else np.zeros((bags.shape[0], self.cfg.k))
-        )
+        eps = eval_noise(rng, bags.shape[0], self.cfg.k)
         ll_rows, kl_rows = self.bound(bags, eps=eps)
         neg_bound = -ll_rows.data + kl_rows.data
         return {

@@ -255,9 +255,16 @@ def load_corpus(path):
                 continue
             try:
                 rec = json.loads(line)
-                out.append((rec["prompt"], rec["response"]))
+                prompt, response = rec["prompt"], rec["response"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{ln}: bad corpus record: {exc}") from exc
+            for field, value in (("prompt", prompt), ("response", response)):
+                if not isinstance(value, str):
+                    raise DataError(
+                        f"{path}:{ln}: '{field}' must be a string, "
+                        f"got {type(value).__name__}"
+                    )
+            out.append((prompt, response))
     return out
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -94,6 +96,76 @@ def test_checkpoint_magic_guard(tmp_path):
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(CheckpointError):
         ckpt.read_header(path)
+
+
+def test_checkpoint_truncation_and_padding_rejected(tmp_path):
+    cfg = tiny_cfg("ltcm")
+    model = make_model(cfg)
+    path = tmp_path / "m.ckpt"
+    ckpt.save(path, model)
+    blob = path.read_bytes()
+    header_end = len(ckpt.MAGIC) + 8
+    # inside the magic, inside the header, inside the payload
+    for cut in (len(ckpt.MAGIC) - 3, header_end + 10, len(blob) - 5):
+        bad = tmp_path / f"cut{cut}.ckpt"
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError, match=re.escape(str(bad))):
+            ckpt.load(bad, make_model(cfg))
+    longer = tmp_path / "long.ckpt"
+    longer.write_bytes(blob + bytes(8))
+    with pytest.raises(CheckpointError, match="payload"):
+        ckpt.load(longer, make_model(cfg))
+    # a length field cut short, and a header that is JSON but not an object
+    short_len = tmp_path / "len.ckpt"
+    short_len.write_bytes(ckpt.MAGIC + b"\x05\x00")
+    with pytest.raises(CheckpointError, match="header length"):
+        ckpt.read_header(short_len)
+    listed = tmp_path / "list.ckpt"
+    listed.write_bytes(ckpt.MAGIC + struct.pack("<Q", 2) + b"[]")
+    with pytest.raises(CheckpointError, match="JSON object"):
+        ckpt.read_header(listed)
+    # an entry whose offset points past the payload
+    (n,) = struct.unpack("<Q", blob[len(ckpt.MAGIC):header_end])
+    header = ckpt.read_header(path)
+    header["params"][0]["offset"] = 10**6
+    head = json.dumps(header).encode()
+    moved = tmp_path / "moved.ckpt"
+    moved.write_bytes(ckpt.MAGIC + struct.pack("<Q", len(head)) + head
+                      + blob[header_end + n:])
+    with pytest.raises(CheckpointError, match="parameter table"):
+        ckpt.load(moved, make_model(cfg))
+
+
+def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
+    cfg = tiny_cfg("lvs2s")
+    model = make_model(cfg)
+    path = tmp_path / "last.ckpt"
+    ckpt.save(path, model)
+    before = path.read_bytes()
+    saved = model.param_data()
+
+    for p in model.params.values():
+        p.data += 1.0
+    real = np.ascontiguousarray
+    calls = []
+
+    def fail_on_third_array(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "ascontiguousarray", fail_on_third_array)
+    with pytest.raises(OSError, match="disk full"):
+        ckpt.save(path, model)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["last.ckpt"]
+    fresh = make_model(cfg)
+    ckpt.load(path, fresh)
+    for k, p in fresh.params.items():
+        assert np.array_equal(p.data, saved[k]), k
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +314,28 @@ def test_exit_codes(workspace, tmp_path, capsys):
     # topics on a model without a topic matrix
     assert main(["topics", "--checkpoint",
                  str(workspace / "s2s" / "final.ckpt")]) == 1
+
+    # a corpus field that is not a string
+    typed = tmp_path / "typed.jsonl"
+    typed.write_text('{"prompt": 3, "response": "hello there"}\n')
+    assert main(["train", "--config", str(good_cfg), "--corpus",
+                 str(typed), "--out", str(tmp_path / "o")]) == 2
+
+    # decoding arguments out of range
+    final = str(workspace / "s2s" / "final.ckpt")
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("so what do you think of the river stuff\n")
+    for extra in (["--n", "0"],
+                  ["--strategy", "sample", "--temperature", "0"],
+                  ["--strategy", "sample", "--temperature", "-1"]):
+        assert main(["generate", "--checkpoint", final,
+                     "--prompts", str(prompts)] + extra) == 1, extra
+
+    # a truncated checkpoint
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes((workspace / "s2s" / "final.ckpt").read_bytes()[:100])
+    assert main(["generate", "--checkpoint", str(cut),
+                 "--prompts", str(prompts)]) == 2
 
 
 def test_ltcm_trains_without_annealing(workspace, tmp_path):

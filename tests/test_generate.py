@@ -105,3 +105,12 @@ def test_invalid_combinations_rejected():
     ntm = make_model(tiny_cfg("ntm"))
     with pytest.raises(ConfigError):
         generate(ntm, vocab, pairs, latent="none")
+    with pytest.raises(ConfigError, match="n must be"):
+        generate(s2s, vocab, pairs, latent="none", n=0)
+    for t in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="temperature"):
+            generate(s2s, vocab, pairs, strategy="sample", temperature=t,
+                     latent="none")
+    # greedy decoding never reads the temperature
+    assert generate(s2s, vocab, pairs, temperature=0.0, latent="none", n=1,
+                    max_len=2)

@@ -14,6 +14,7 @@ from latentchat.text import (
     bag_of_words,
     build_vocab,
     filter_pair,
+    load_corpus,
     select_stopwords,
     standardize,
 )
@@ -71,6 +72,17 @@ def test_small_pair_accepted():
 def test_empty_rejected():
     res = filter_pair("", "hello")
     assert isinstance(res, Rejected) and res.reason == "empty"
+
+
+def test_load_corpus_rejects_non_string_fields(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"prompt": "hi there", "response": "hello"}\n'
+                    '{"prompt": 3, "response": "hello"}\n')
+    with pytest.raises(DataError, match=r"c\.jsonl:2: 'prompt' must be a string, got int"):
+        load_corpus(path)
+    path.write_text('{"prompt": "hi there", "response": null}\n')
+    with pytest.raises(DataError, match=r":1: 'response' must be a string"):
+        load_corpus(path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from conftest import make_model, tiny_batch, tiny_cfg, tiny_pairs, tiny_vocab
 from latentchat import autodiff as ad
 from latentchat.autodiff import Tensor
 from latentchat.errors import InputError
+from latentchat.generate import generate
 from latentchat.models.topic import (
     beta_regularizers,
     top_words_per_topic,
@@ -227,6 +229,48 @@ def test_ltcm_degenerate_perplexity_decomposition():
     # word part matches s2s; gate factor adds ln 2 per token
     expect = plain_stats["nll"] + batch.n_tokens * math.log(2.0)
     assert model.approx_nll(batch) == pytest.approx(expect, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind, decodes", [("lvs2s", 2), ("ltcm", 1)])
+def test_eval_sums_decodes_once_for_ltcm_and_matches_both_passes(kind, decodes):
+    cfg = tiny_cfg(kind, tie_topic_proj=False)
+    model = make_model(cfg)
+    batch = tiny_batch(tiny_vocab(), stopwords={"w0", "w1", "w2", "w3"}, n=3)
+    on = batch.gate_labels[batch.mask > 0]
+    assert 0 < on.sum() < on.size  # mixed gates
+    real = model.decoder_h_tops
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    model.decoder_h_tops = counting
+    sums = model.eval_sums(batch, rng=np.random.default_rng(4))
+    assert len(calls) == decodes
+    del model.decoder_h_tops
+
+    eps = np.random.default_rng(4).standard_normal((batch.size, cfg.k))
+    _, stats = model.objective(batch, w=1.0, training=False, eps=eps)
+    assert sums["approx_nll"] == model.approx_nll(batch)
+    assert np.array_equal(sums["per_seq_neg_bound"], stats["per_seq_neg_bound"])
+    assert np.array_equal(sums["per_seq_kl"], stats["per_seq_kl"])
+    assert sums["tokens"] == stats["tokens"] and sums["n_seqs"] == batch.size
+
+
+def test_gate_probs_saturate_without_overflow():
+    vocab = tiny_vocab()
+    model = make_model(tiny_cfg("ltcm"))
+    batch = tiny_batch(vocab)
+    for scale in (1e4, -1e4):  # one of the two drives some logits below -709
+        model.params["gate_w2"].data[...] = scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            probs, _, _ = model.gate_probs_forced(batch)
+            samples = generate(model, vocab, tiny_pairs(vocab), latent="prior",
+                               n=1, max_len=4)
+        assert np.all((probs >= 0.0) & (probs <= 1.0))
+        assert all(0.0 <= g <= 1.0 for s in samples for r in s.gate_probs for g in r)
 
 
 # ---------------------------------------------------------------------------
