@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from .config import RunConfig
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 
 MAGIC = b"LATENTCHAT-CKPT-1\n"
 
@@ -143,5 +143,19 @@ def load(path, model, optimizer=None):
     return header
 
 
-def config_from_header(header):
-    return RunConfig.from_dict(header["config"])
+# keys that older headers echo and that no longer exist
+RETIRED_KEYS = ("layer_norm", "report_dir", "vocab")
+
+
+def config_from_header(header, path="checkpoint"):
+    data = dict(header["config"])
+    if data.get("layer_norm", True) is not True:
+        raise CheckpointError(
+            f"{path}: trained without layer norm, which this version cannot run"
+        )
+    for key in RETIRED_KEYS:
+        data.pop(key, None)
+    try:
+        return RunConfig.from_dict(data)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: bad config echo: {exc}") from None

@@ -143,7 +143,7 @@ def cmd_train(args):
 
 def _load_bundle(checkpoint_path):
     header = ckpt.read_header(checkpoint_path)
-    cfg = ckpt.config_from_header(header)
+    cfg = ckpt.config_from_header(header, checkpoint_path)
     model = build_model(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 3])))
     ckpt.load(checkpoint_path, model)
     base = os.path.dirname(os.path.abspath(checkpoint_path))

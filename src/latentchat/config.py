@@ -1,6 +1,7 @@
 """Run configuration: dataclass, presets, flat key-value config files."""
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -8,6 +9,18 @@ import yaml
 from .errors import ConfigError
 
 MODEL_KINDS = ("s2s", "lvs2s", "ntm", "ltcm")
+CHOICES = {
+    "model": MODEL_KINDS,
+    "latent_mode": ("unconditional", "conditional"),
+    "gate_mode": ("sample", "threshold"),
+    "stopword_direction": ("lowest", "highest"),
+    "split": ("train", "all"),
+}
+# keys that must be at least 1, and keys that must not be negative
+SIZES = ("n_layers", "d", "d_emb", "k", "K", "vocab_size", "residual_start",
+         "mlp_hidden", "batch_size", "max_len")
+NON_NEGATIVE = ("epochs", "seed", "halve_lr_every", "anneal_steps", "stopword_n",
+                "lambda_ma", "lambda_l2")
 
 
 @dataclass
@@ -20,7 +33,6 @@ class RunConfig:
     k: int = 32           # latent dimensionality
     K: int = 20           # topic count
     vocab_size: int = 2000
-    layer_norm: bool = True
     residual_start: int = 3   # first layer index (1-based) with a residual skip
     mlp_hidden: int = 64
     latent_mode: str = "conditional"   # "unconditional" | "conditional"
@@ -43,21 +55,31 @@ class RunConfig:
     split: str = "train"               # "train" | "all"
     # paths
     corpus: str = ""
-    vocab: str = ""
     checkpoint_dir: str = ""
-    report_dir: str = ""
 
     def __post_init__(self):
-        if self.model not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind '{self.model}'")
-        if self.latent_mode not in ("unconditional", "conditional"):
-            raise ConfigError(f"unknown latent_mode '{self.latent_mode}'")
-        if self.stopword_direction not in ("lowest", "highest"):
-            raise ConfigError(f"unknown stopword_direction '{self.stopword_direction}'")
-        if self.gate_mode not in ("sample", "threshold"):
-            raise ConfigError(f"unknown gate_mode '{self.gate_mode}'")
-        if self.d % 2 != 0:
-            raise ConfigError("hidden size d must be even (bidirectional halves)")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # bool is an int to Python; float keys also take an int
+            kind = (int, float) if f.type is float else f.type
+            if isinstance(value, bool) != (f.type is bool) or not isinstance(value, kind):
+                raise ConfigError(
+                    f"config key '{f.name}' must be {f.type.__name__}, got {value!r}"
+                )
+        for name in SIZES:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"config key '{name}' must be at least 1")
+        for name in NON_NEGATIVE:
+            if getattr(self, name) < 0:
+                raise ConfigError(f"config key '{name}' must not be negative")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ConfigError(f"config key 'lr' must be finite and positive, got {self.lr}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"config key '{name}' must be one of {allowed}, "
+                                  f"got {getattr(self, name)!r}")
+        if self.d % 2 != 0 or self.d < 4:  # two halves, each layer-normalised
+            raise ConfigError(f"config key 'd' must be even and at least 4, got {self.d}")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
 
@@ -78,7 +100,10 @@ class RunConfig:
     @classmethod
     def from_file(cls, path):
         with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh) or {}
+            try:
+                data = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must be a flat key-value document")
         return cls.from_dict(data)

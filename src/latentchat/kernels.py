@@ -50,20 +50,22 @@ def lstm_gates_bwd(dh, dc_out, i, f, o, g, c, c_prev):
 
 
 def layer_norm_fwd(x, gain, bias, eps):
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
+    """Normalise over the last axis, so [B,n] rows and [B,4,d] gate blocks
+    (with [4,d] gain/bias) take the same path."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu) * inv_std
     y = xhat * gain + bias
-    return y, xhat, inv_std[:, 0]
+    return y, xhat, inv_std
 
 
 def layer_norm_bwd(dy, xhat, inv_std, gain):
-    n = xhat.shape[1]
+    n = xhat.shape[-1]
     dxhat = dy * gain
-    s1 = dxhat.sum(axis=1, keepdims=True)
-    s2 = (dxhat * xhat).sum(axis=1, keepdims=True)
-    dx = (inv_std[:, None] / n) * (n * dxhat - s1 - xhat * s2)
+    s1 = dxhat.sum(axis=-1, keepdims=True)
+    s2 = (dxhat * xhat).sum(axis=-1, keepdims=True)
+    dx = (inv_std / n) * (n * dxhat - s1 - xhat * s2)
     dgain = (dy * xhat).sum(axis=0)
     dbias = dy.sum(axis=0)
     return dx, dgain, dbias

@@ -1,5 +1,6 @@
 """Neural building blocks on top of the autodiff core: LN-LSTM cells,
-the bidirectional-bottom encoder stack, the decoder stack, and MLPs."""
+the bidirectional-bottom encoder stack, the decoder stack, and MLPs.
+A cell step is one ``autodiff.lstm_step`` node on a packed (h, c) state."""
 
 import numpy as np
 
@@ -20,46 +21,24 @@ def init_const(shape, value):
 
 
 class LSTMCell:
-    """One LSTM cell; gate pre-activations optionally layer-normalised
-    per gate block. Forget-gate bias starts at +1."""
+    """One LSTM cell whose gate pre-activations are layer-normalised per
+    gate block. Forget-gate bias starts at +1."""
 
-    def __init__(self, rng, d_in, d, layer_norm, prefix, params):
-        self.d = d
-        self.layer_norm = layer_norm
+    def __init__(self, rng, d_in, d, prefix, params):
         self.Wx = init_uniform(rng, (d_in, 4 * d))
         self.Wh = init_uniform(rng, (d, 4 * d))
+        self.ln_gain = init_const((4 * d,), 1.0)
+        bias = np.zeros(4 * d)
+        bias[d : 2 * d] = 1.0
+        self.ln_bias = Tensor(bias, requires_grad=True)
         params[f"{prefix}.Wx"] = self.Wx
         params[f"{prefix}.Wh"] = self.Wh
-        if layer_norm:
-            self.ln_gain = init_const((4 * d,), 1.0)
-            bias = np.zeros(4 * d)
-            bias[d : 2 * d] = 1.0
-            self.ln_bias = Tensor(bias, requires_grad=True)
-            params[f"{prefix}.ln_gain"] = self.ln_gain
-            params[f"{prefix}.ln_bias"] = self.ln_bias
-        else:
-            bias = np.zeros(4 * d)
-            bias[d : 2 * d] = 1.0
-            self.b = Tensor(bias, requires_grad=True)
-            params[f"{prefix}.b"] = self.b
+        params[f"{prefix}.ln_gain"] = self.ln_gain
+        params[f"{prefix}.ln_bias"] = self.ln_bias
 
-    def step(self, x, h, c):
-        d = self.d
-        pre = ad.matmul(x, self.Wx) + ad.matmul(h, self.Wh)
-        if self.layer_norm:
-            blocks = []
-            for gi in range(4):
-                blocks.append(
-                    ad.layer_norm(
-                        ad.narrow(pre, 1, gi * d, d),
-                        ad.narrow(self.ln_gain, 0, gi * d, d),
-                        ad.narrow(self.ln_bias, 0, gi * d, d),
-                    )
-                )
-            pre = ad.concat(blocks, axis=1)
-        else:
-            pre = pre + self.b
-        return ad.lstm_gates(pre, c)
+    def step(self, x, state, keep=None):
+        """Packed state [B,2d] -> next packed state; `keep` rows advance."""
+        return ad.lstm_step(x, state, self.Wx, self.Wh, self.ln_gain, self.ln_bias, keep)
 
 
 class MLP:
@@ -80,10 +59,6 @@ class MLP:
         return ad.matmul(ad.tanh(ad.matmul(x, self.W1) + self.b1), self.W2) + self.b2
 
 
-def _zeros_state(b, d):
-    return Tensor(np.zeros((b, d))), Tensor(np.zeros((b, d)))
-
-
 class EncoderStack:
     """Bidirectional first layer (d/2 per direction), unidirectional
     layers above, residual skips from `residual_start` upward."""
@@ -93,84 +68,60 @@ class EncoderStack:
         self.cfg = cfg
         self.emb = init_uniform(rng, (cfg.vocab_size, cfg.d_emb))
         params["enc.emb"] = self.emb
-        self.fwd = LSTMCell(rng, cfg.d_emb, half, cfg.layer_norm, "enc.l1f", params)
-        self.bwd = LSTMCell(rng, cfg.d_emb, half, cfg.layer_norm, "enc.l1b", params)
+        self.fwd = LSTMCell(rng, cfg.d_emb, half, "enc.l1f", params)
+        self.bwd = LSTMCell(rng, cfg.d_emb, half, "enc.l1b", params)
         self.upper = [
-            LSTMCell(rng, d, d, cfg.layer_norm, f"enc.l{i + 2}", params)
-            for i in range(cfg.n_layers - 1)
+            LSTMCell(rng, d, d, f"enc.l{i + 2}", params) for i in range(cfg.n_layers - 1)
         ]
 
     def forward(self, prompt, prompt_len, training=False, rng=None):
-        """prompt [B,U] int ids -> (per-step top states, finals per layer)."""
+        """prompt [B,U] int ids -> (per-step top states, (h, c) finals per
+        layer).  Steps past a row's prompt length carry its state over."""
         b, u_max = prompt.shape
-        half = self.cfg.d // 2
+        d, half = self.cfg.d, self.cfg.d // 2
         drop = self.cfg.dropout if training else 0.0
+        keeps = [t < prompt_len for t in range(u_max)]
 
-        embs = []
-        for t in range(u_max):
-            e = ad.embedding(self.emb, prompt[:, t])
-            embs.append(ad.dropout(e, drop, training, rng) if drop else e)
-        masks = [
-            Tensor((t < prompt_len).astype(np.float64)[:, None]) for t in range(u_max)
-        ]
-
-        def run_dir(cell, order):
-            h, c = _zeros_state(b, half)
-            outs = {}
+        def run(cell, n, inputs, order):
+            state = Tensor(np.zeros((b, 2 * n)))
+            outs = [None] * u_max
             for t in order:
-                hn, cn = cell.step(embs[t], h, c)
-                m = masks[t]
-                h = hn * m + h * (1.0 - m)
-                c = cn * m + c * (1.0 - m)
-                outs[t] = h
-            return outs, h, c
+                state = cell.step(inputs[t], state, keeps[t])
+                outs[t] = ad.narrow(state, 1, 0, n)
+            return outs, state
 
-        f_outs, fh, fc = run_dir(self.fwd, range(u_max))
-        b_outs, bh, bc = run_dir(self.bwd, range(u_max - 1, -1, -1))
+        def drop_all(xs):
+            return [ad.dropout(x, drop, training, rng) for x in xs] if drop else xs
 
+        embs = drop_all([ad.embedding(self.emb, prompt[:, t]) for t in range(u_max)])
+        f_outs, fs = run(self.fwd, half, embs, range(u_max))
+        b_outs, bs = run(self.bwd, half, embs, range(u_max - 1, -1, -1))
         states = [ad.concat([f_outs[t], b_outs[t]], axis=1) for t in range(u_max)]
-        finals = [(ad.concat([fh, bh], axis=1), ad.concat([fc, bc], axis=1))]
+        finals = [tuple(
+            ad.concat([ad.narrow(fs, 1, lo, half), ad.narrow(bs, 1, lo, half)], axis=1)
+            for lo in (0, half)
+        )]
 
         for li, cell in enumerate(self.upper):
-            layer_idx = li + 2
-            h, c = _zeros_state(b, self.cfg.d)
-            outs = []
-            for t in range(u_max):
-                x = states[t]
-                if drop:
-                    x = ad.dropout(x, drop, training, rng)
-                hn, cn = cell.step(x, h, c)
-                m = masks[t]
-                h = hn * m + h * (1.0 - m)
-                c = cn * m + c * (1.0 - m)
-                out = h
-                if layer_idx >= self.cfg.residual_start:
-                    out = out + states[t]
-                outs.append(out)
+            outs, state = run(cell, d, drop_all(states), range(u_max))
+            if li + 2 >= self.cfg.residual_start:
+                outs = [out + x for out, x in zip(outs, states)]
             states = outs
-            finals.append((h, c))
+            finals.append((ad.narrow(state, 1, 0, d), ad.narrow(state, 1, d, d)))
         return states, finals
 
 
 class DecoderStack:
     """Unidirectional stack; `extra_in` widens the bottom layer's input
-    for a per-step latent slot."""
+    for a per-step latent slot.  Each layer's state is packed (h, c)."""
 
     def __init__(self, rng, cfg, params, extra_in=0):
         d = cfg.d
         self.cfg = cfg
-        self.extra_in = extra_in
         self.emb = init_uniform(rng, (cfg.vocab_size, cfg.d_emb))
         params["dec.emb"] = self.emb
         self.cells = [
-            LSTMCell(
-                rng,
-                cfg.d_emb + extra_in if i == 0 else d,
-                d,
-                cfg.layer_norm,
-                f"dec.l{i + 1}",
-                params,
-            )
+            LSTMCell(rng, cfg.d_emb + extra_in if i == 0 else d, d, f"dec.l{i + 1}", params)
             for i in range(cfg.n_layers)
         ]
         # output projection: logits = h @ V_T, V rows are per-word vectors
@@ -178,7 +129,7 @@ class DecoderStack:
         params["dec.V_T"] = self.V_T
 
     def init_states(self, enc_finals):
-        return [(h, c) for h, c in enc_finals]
+        return [ad.concat([h, c], axis=1) for h, c in enc_finals]
 
     def step(self, x, states, training=False, rng=None):
         """x [B, d_emb(+extra)] -> (h_top [B,d], new states)."""
@@ -189,9 +140,9 @@ class DecoderStack:
         for i, cell in enumerate(self.cells):
             if drop and i > 0:
                 inp = ad.dropout(inp, drop, training, rng)
-            h, c = cell.step(inp, *states[i])
-            new_states.append((h, c))
-            out = h
+            state = cell.step(inp, states[i])
+            new_states.append(state)
+            out = ad.narrow(state, 1, 0, self.cfg.d)
             if i + 1 >= self.cfg.residual_start and prev_out is not None:
                 out = out + prev_out
             prev_out = out

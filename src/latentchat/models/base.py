@@ -15,10 +15,6 @@ class BaseModel:
     def param_data(self):
         return {k: p.data.copy() for k, p in self.params.items()}
 
-    def load_param_data(self, data):
-        for k, p in self.params.items():
-            p.data[...] = data[k]
-
 
 def flat_targets(batch):
     """Targets/mask/labels flattened time-major to align with stacked

@@ -52,19 +52,6 @@ class Adam:
         for p in self.params.values():
             p.zero_grad()
 
-    def state_dict(self):
-        return {
-            "t": self.t,
-            "m": {k: m.copy() for k, m in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
-    def load_state_dict(self, state):
-        self.t = int(state["t"])
-        for k in self.m:
-            self.m[k][...] = state["m"][k]
-            self.v[k][...] = state["v"][k]
-
 
 def grad_check(f, params, h=1e-5):
     """Max relative error between backward() gradients of the scalar f()

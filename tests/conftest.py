@@ -10,7 +10,7 @@ def tiny_cfg(model="s2s", **kw):
     """Smallest configuration that exercises every architectural feature."""
     base = dict(
         model=model, n_layers=2, d=6, d_emb=5, k=2, K=3, vocab_size=14,
-        mlp_hidden=4, batch_size=2, dropout=0.0, layer_norm=True,
+        mlp_hidden=4, batch_size=2, dropout=0.0,
         residual_start=2, stopword_n=2, seed=0,
     )
     base.update(kw)

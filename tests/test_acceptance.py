@@ -113,18 +113,18 @@ def test_criterion_01_gradient_correctness():
     w = Tensor(rng.standard_normal((2, 5)))
     worst_prim = max(worst_prim, grad_check(
         lambda: ad.tsum(ad.softmax(x) * w), {"x": x}, h=1e-6))
-    z = Tensor(rng.standard_normal((2, 8)), requires_grad=True)
-    c0 = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
-    wz = Tensor(rng.standard_normal((2, 2)))
+    step_in = {
+        "x": Tensor(rng.standard_normal((3, 4)), requires_grad=True),
+        "state": Tensor(0.5 * rng.standard_normal((3, 6)), requires_grad=True),
+        "Wx": Tensor(0.5 * rng.standard_normal((4, 12)), requires_grad=True),
+        "Wh": Tensor(0.5 * rng.standard_normal((3, 12)), requires_grad=True),
+        "gain": Tensor(np.ones(12), requires_grad=True),
+        "bias": Tensor(np.zeros(12), requires_grad=True),
+    }
+    ws = Tensor(rng.standard_normal((3, 6)))
+    keep = np.array([True, False, True])
     worst_prim = max(worst_prim, grad_check(
-        lambda: ad.tsum(ad.lstm_gates(z, c0)[0] * wz), {"z": z, "c0": c0}, h=1e-6))
-    g = Tensor(np.ones(6), requires_grad=True)
-    v = Tensor(np.zeros(6), requires_grad=True)
-    h_in = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
-    wn = Tensor(rng.standard_normal((3, 6)))
-    worst_prim = max(worst_prim, grad_check(
-        lambda: ad.tsum(ad.layer_norm(h_in, g, v) * wn),
-        {"h": h_in, "g": g, "v": v}, h=1e-6))
+        lambda: ad.tsum(ad.lstm_step(**step_in, keep=keep) * ws), step_in, h=1e-6))
 
     wall = time.monotonic() - t0
     ok = worst_model < 1e-3 and worst_prim < 1e-5 and wall < 60.0

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentchat import autodiff as ad
+from latentchat import kernels as K
 from latentchat.autodiff import Tensor
 from latentchat.errors import NumericError, ShapeError
 from latentchat.optim import grad_check
@@ -99,67 +100,120 @@ def test_softmax_simplex_property(xs):
 
 
 # ---------------------------------------------------------------------------
-# fused LSTM gates
+# LN-LSTM step
+
+B, D_IN, D = 3, 4, 3
+MIXED_KEEP = np.array([True, False, True])
 
 
-def test_lstm_gates_zero_case():
-    h, c = ad.lstm_gates(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 1))))
-    assert np.array_equal(h.data, [[0.0]])
-    assert np.array_equal(c.data, [[0.0]])
+def lstm_step_inputs(seed):
+    rng = np.random.default_rng(seed)
+    return (
+        param(rng.standard_normal((B, D_IN))),
+        param(0.5 * rng.standard_normal((B, 2 * D))),
+        param(0.5 * rng.standard_normal((D_IN, 4 * D))),
+        param(0.5 * rng.standard_normal((D, 4 * D))),
+        param(1.0 + 0.1 * rng.standard_normal(4 * D)),
+        param(0.1 * rng.standard_normal(4 * D)),
+    )
 
 
-def test_lstm_gates_hand_case():
-    # all pre-activations zero, c_prev = 2: c = 0.5*2 = 1, h = 0.5*tanh(1)
-    h, c = ad.lstm_gates(Tensor(np.zeros((1, 4))), Tensor([[2.0]]))
-    assert c.data[0, 0] == pytest.approx(1.0)
-    assert h.data[0, 0] == pytest.approx(0.5 * np.tanh(1.0), abs=1e-12)
+def test_lstm_step_gradient():
+    args = lstm_step_inputs(3)
+    w = Tensor(np.random.default_rng(4).standard_normal((B, 2 * D)))
+
+    def f():
+        return ad.tsum(ad.lstm_step(*args, keep=MIXED_KEEP) * w)
+
+    names = ("x", "state", "Wx", "Wh", "gain", "bias")
+    assert grad_check(f, dict(zip(names, args))) < 1e-5
 
 
 def test_lstm_gates_gradient():
+    # the gate kernels lstm_step is built from, as a tape node of their own
     rng = np.random.default_rng(3)
     pre = param(0.3 * rng.standard_normal((2, 12)))
     c_prev = param(0.3 * rng.standard_normal((2, 3)))
     w1 = Tensor(rng.standard_normal((2, 3)))
     w2 = Tensor(rng.standard_normal((2, 3)))
 
+    def gates(pre, c_prev):
+        h, c, i, f, o, g = K.lstm_gates_fwd(pre.data, c_prev.data)
+        d = c.shape[1]
+
+        def vjp(gs):
+            dpre, dc_prev = K.lstm_gates_bwd(gs[:, :d], gs[:, d:], i, f, o, g, c, c_prev.data)
+            return [(pre, dpre), (c_prev, dc_prev)]
+
+        return Tensor(np.concatenate([h, c], axis=1), parents=(pre, c_prev), vjp=vjp)
+
     def f():
-        h, c = ad.lstm_gates(pre, c_prev)
-        return ad.tsum(h * w1) + ad.tsum(c * w2)
+        hc = gates(pre, c_prev)
+        return ad.tsum(ad.narrow(hc, 1, 0, 3) * w1) + ad.tsum(ad.narrow(hc, 1, 3, 3) * w2)
 
     assert grad_check(f, {"pre": pre, "c_prev": c_prev}) < 1e-5
 
 
-def test_lstm_gates_shape_error():
-    with pytest.raises(ShapeError):
-        ad.lstm_gates(Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 1))))
-
-
-# ---------------------------------------------------------------------------
-# layer norm
-
-
-def test_layer_norm_constant_row():
-    out = ad.layer_norm(Tensor([[1.0, 1.0, 1.0, 1.0]]),
-                        Tensor(np.ones(4)), Tensor(np.zeros(4)))
-    assert np.allclose(out.data, 0.0)
-
-
-def test_layer_norm_symmetry():
-    out = ad.layer_norm(Tensor([[1.0, 3.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
-    assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-4)
-
-
 def test_layer_norm_gradient():
+    # the layer-norm kernels lstm_step is built from, as a tape node of their own
     rng = np.random.default_rng(4)
     x = param(rng.standard_normal((3, 6)))
     gain = param(1.0 + 0.1 * rng.standard_normal(6))
     bias = param(0.1 * rng.standard_normal(6))
     w = Tensor(rng.standard_normal((3, 6)))
 
+    def layer_norm(x, gain, bias):
+        y, xhat, inv_std = K.layer_norm_fwd(x.data, gain.data, bias.data, ad.LN_EPS)
+
+        def vjp(g):
+            dx, dgain, dbias = K.layer_norm_bwd(g, xhat, inv_std, gain.data)
+            return [(x, dx), (gain, dgain), (bias, dbias)]
+
+        return Tensor(y, parents=(x, gain, bias), vjp=vjp)
+
     def f():
-        return ad.tsum(ad.layer_norm(x, gain, bias) * w)
+        return ad.tsum(layer_norm(x, gain, bias) * w)
 
     assert grad_check(f, {"x": x, "gain": gain, "bias": bias}) < 1e-5
+
+
+def test_lstm_step_matches_numpy_reference():
+    x, state, Wx, Wh, gain, bias = lstm_step_inputs(5)
+    h0, c0 = state.data[:, :D], state.data[:, D:]
+    pre = x.data @ Wx.data + h0 @ Wh.data
+    blocks = [
+        K.layer_norm_fwd(pre[:, lo : lo + D], gain.data[lo : lo + D],
+                         bias.data[lo : lo + D], ad.LN_EPS)[0]
+        for lo in range(0, 4 * D, D)
+    ]
+    h, c, *_ = K.lstm_gates_fwd(np.concatenate(blocks, axis=1), c0)
+    want = np.where(MIXED_KEEP[:, None], np.concatenate([h, c], axis=1), state.data)
+    out = ad.lstm_step(x, state, Wx, Wh, gain, bias, keep=MIXED_KEEP)
+    assert np.array_equal(out.data, want)
+
+
+def test_lstm_step_keep_false_rows_carry_state_bitwise():
+    args = lstm_step_inputs(6)
+    x, state = args[:2]
+    keep = np.array([False, True, False])
+    out = ad.lstm_step(*args, keep=keep)
+    assert np.array_equal(out.data[~keep], state.data[~keep])
+    assert not np.array_equal(out.data[keep], state.data[keep])
+    w = np.random.default_rng(7).standard_normal((B, 2 * D))
+    ad.tsum(out * Tensor(w)).backward()
+    # a carried row passes its gradient straight to the old state
+    assert np.array_equal(state.grad[~keep], w[~keep])
+    assert not x.grad[~keep].any()
+
+
+def test_lstm_step_shape_error():
+    x, state, Wx, Wh, gain, bias = lstm_step_inputs(8)
+    with pytest.raises(ShapeError, match="lstm_step"):
+        ad.lstm_step(x, Tensor(np.zeros((B, 2 * D + 1))), Wx, Wh, gain, bias)
+    with pytest.raises(ShapeError):
+        ad.lstm_step(x, state, Wh, Wh, gain, bias)
+    with pytest.raises(ShapeError):
+        ad.lstm_step(x, state, Wx, Wh, gain, bias, keep=np.ones(B + 1, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

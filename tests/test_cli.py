@@ -48,6 +48,17 @@ def test_config_validation():
         RunConfig(model="transformer")
     with pytest.raises(ConfigError):
         RunConfig(dropout=1.5)
+    bad_values = (
+        dict(lr="1e-3"), dict(lr=0.0), dict(lr=float("inf")), dict(lr=float("nan")),
+        dict(epochs=1.5), dict(epochs=-1), dict(batch_size=0), dict(n_layers=0),
+        dict(model="ltcm", K=0), dict(d="abc"), dict(d=2), dict(d=True),
+        dict(seed=-1), dict(kl_anneal="yes"), dict(corpus=3), dict(split="bogus"),
+        dict(lambda_l2=-5.0), dict(lambda_ma=-1e-3),
+    )
+    for bad in bad_values:
+        with pytest.raises(ConfigError, match=f"'{list(bad)[-1]}'"):
+            RunConfig(**bad)
+    RunConfig(lr=1, dropout=0)  # an integer is a valid float
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +100,17 @@ def test_checkpoint_config_echo_parses_back(tmp_path):
     ckpt.save(path, model)
     again = ckpt.config_from_header(ckpt.read_header(path))
     assert again == cfg
+
+
+def _with_config_echo(src, dst, keys):
+    """Copy checkpoint `src` to `dst` with `keys` set in its config echo."""
+    blob = src.read_bytes()
+    start = len(ckpt.MAGIC) + 8
+    (n,) = struct.unpack("<Q", blob[len(ckpt.MAGIC):start])
+    header = json.loads(blob[start:start + n])
+    header["config"].update(keys)
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    dst.write_bytes(ckpt.MAGIC + struct.pack("<Q", len(head)) + head + blob[start + n:])
 
 
 def test_checkpoint_magic_guard(tmp_path):
@@ -331,11 +353,47 @@ def test_exit_codes(workspace, tmp_path, capsys):
         assert main(["generate", "--checkpoint", final,
                      "--prompts", str(prompts)] + extra) == 1, extra
 
+    # config values of the wrong type or out of range, and malformed YAML
+    corpus = str(workspace / "data" / "corpus.jsonl")
+    for body in ("lr: 1e-3\n", "epochs: 1.5\n", "batch_size: 0\n", "n_layers: 0\n",
+                 "model: ltcm\nK: 0\n", "d: abc\n", "model: [s2s\n"):
+        typed_cfg = tmp_path / "typed.yaml"
+        typed_cfg.write_text(body)
+        capsys.readouterr()
+        assert main(["train", "--config", str(typed_cfg), "--corpus", corpus,
+                     "--out", str(tmp_path / "o")]) == 1, body
+        assert capsys.readouterr().err.startswith("error: "), body
+
     # a truncated checkpoint
     cut = tmp_path / "cut.ckpt"
     cut.write_bytes((workspace / "s2s" / "final.ckpt").read_bytes()[:100])
     assert main(["generate", "--checkpoint", str(cut),
                  "--prompts", str(prompts)]) == 2
+
+
+def test_checkpoint_with_retired_keys_loads(workspace, tmp_path):
+    run = workspace / "s2s"
+    old = tmp_path / "old"
+    old.mkdir()
+    for name in ("vocab.txt", "stopwords.txt"):
+        (old / name).write_bytes((run / name).read_bytes())
+    # the config echo of checkpoints written before these keys were retired
+    _with_config_echo(run / "final.ckpt", old / "final.ckpt",
+                      {"layer_norm": True, "vocab": "", "report_dir": ""})
+    corpus = str(workspace / "data" / "corpus.jsonl")
+    for ck, out in ((run, "now"), (old, "then")):
+        assert main(["evaluate", "--checkpoint", str(ck / "final.ckpt"),
+                     "--corpus", corpus, "--out", str(tmp_path / out)]) == 0
+    report = "report_s2s.txt"
+    assert (tmp_path / "now" / report).read_bytes() == (tmp_path / "then" / report).read_bytes()
+
+    # trained without layer norm, or an echo that is no valid config
+    for bad in ({"layer_norm": False}, {"split": "bogus"}):
+        plain = old / "bad.ckpt"
+        _with_config_echo(run / "final.ckpt", plain, bad)
+        with pytest.raises(CheckpointError, match=re.escape(str(plain))):
+            ckpt.config_from_header(ckpt.read_header(plain), plain)
+        assert main(["evaluate", "--checkpoint", str(plain), "--corpus", corpus]) == 2
 
 
 def test_ltcm_trains_without_annealing(workspace, tmp_path):

@@ -52,17 +52,3 @@ def test_nonfinite_gradient_rejected_by_name():
     p.grad[...] = np.nan
     with pytest.raises(TrainingError, match="'p'"):
         Adam({"p": p}).step()
-
-
-def test_state_dict_roundtrip():
-    p = param([1.0])
-    opt = Adam({"p": p}, lr=0.1)
-    p.grad[...] = 0.5
-    opt.step()
-    state = opt.state_dict()
-    q = param([1.0])
-    opt2 = Adam({"p": q}, lr=0.1)
-    opt2.load_state_dict(state)
-    assert opt2.t == opt.t
-    assert np.array_equal(opt2.m["p"], opt.m["p"])
-    assert np.array_equal(opt2.v["p"], opt.v["p"])

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_model, tiny_batch, tiny_cfg, tiny_pairs, tiny_vocab
 from latentchat import autodiff as ad
+from latentchat import kernels
 from latentchat.autodiff import Tensor
 from latentchat.errors import InputError
 from latentchat.generate import generate
@@ -229,6 +230,27 @@ def test_ltcm_degenerate_perplexity_decomposition():
     # word part matches s2s; gate factor adds ln 2 per token
     expect = plain_stats["nll"] + batch.n_tokens * math.log(2.0)
     assert model.approx_nll(batch) == pytest.approx(expect, abs=1e-9)
+
+
+def test_ltcm_objective_normalises_once_per_cell_step(monkeypatch):
+    cfg = tiny_cfg("ltcm")
+    model = make_model(cfg)
+    batch = tiny_batch(tiny_vocab(), n=2, u=3, m=4)
+    real = kernels.layer_norm_fwd
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "layer_norm_fwd", counting)
+    eps = np.random.default_rng(5).standard_normal((batch.size, cfg.k))
+    model.objective(batch, training=False, eps=eps)
+    u = batch.prompt.shape[1]
+    t = batch.decoder_inputs().shape[1]
+    # two bottom directions and n_layers - 1 upper layers over the prompt,
+    # n_layers over the response
+    assert len(calls) == (2 + cfg.n_layers - 1) * u + cfg.n_layers * t
 
 
 @pytest.mark.parametrize("kind, decodes", [("lvs2s", 2), ("ltcm", 1)])
