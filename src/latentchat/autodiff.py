@@ -1,15 +1,29 @@
 """Reverse-mode autodiff over dense float64 numpy arrays.
 
 A :class:`Tensor` records its parents and a vector-Jacobian-product
-closure when it is produced by an operation; the implicit DAG of parent
-links is the computation tape.  ``backward(loss)`` replays it in reverse
-topological order and *accumulates* into ``.grad`` (running it twice
-without ``zero_grad`` doubles the gradients).
+closure when it is produced by an operation on a tensor that requires
+grad; the implicit DAG of parent links is the computation tape.
+``backward(loss)`` replays it in reverse topological order and
+*accumulates* into ``.grad`` (running it twice without ``zero_grad``
+doubles the gradients).
+
+``.grad`` buffers are lazy: only leaves built with ``requires_grad=True``
+get one at construction, and the root of a ``backward`` call gets one
+there.  Intermediate nodes keep ``grad = None``; backward accumulates into
+leaves and the root only.
+
+Inside ``with no_grad():`` (also usable as a decorator) no tape is
+recorded: every op returns a parentless Tensor with no VJP and no
+``.grad``, so inference holds only the arrays it still needs.  The
+context nests and restores the previous mode on exit, exceptions
+included.
 
 One coarse node, :func:`lstm_step`, covers a whole LN-LSTM step (both
 projections, per-gate-block layer norm, gates, masked carry) on a packed
 [B,2d] (h, c) state; its backward reuses :mod:`latentchat.kernels`.
 """
+
+import contextlib
 
 import numpy as np
 
@@ -18,27 +32,46 @@ from .errors import ConfigError, NumericError, ShapeError
 
 LN_EPS = 1e-5
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no tape inside the block: ops return bare Tensors."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "name")
 
     def __init__(self, data, requires_grad=False, parents=(), vjp=None, name=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
-        self._parents = tuple(parents)
-        self._vjp = vjp
         self.name = name
         if parents:
-            self.requires_grad = any(p.requires_grad for p in parents)
+            # an op result: a tape node only if some input needs its gradient
+            self.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+            self._parents = tuple(parents) if self.requires_grad else ()
+            self._vjp = vjp if self.requires_grad else None
+            self.grad = None
         else:
             self.requires_grad = requires_grad
+            self._parents = ()
+            self._vjp = None
+            self.grad = np.zeros_like(self.data) if requires_grad else None
 
     @property
     def shape(self):
         return self.data.shape
 
     def zero_grad(self):
-        self.grad[...] = 0.0
+        if self.grad is not None:
+            self.grad[...] = 0.0
 
     def backward(self):
         backward(self)
@@ -85,7 +118,8 @@ def _unbroadcast(g, shape):
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(t) into t.grad for every reachable tensor."""
+    """Accumulate d(loss)/d(t) into t.grad for the root and every reachable
+    leaf that requires grad."""
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     topo = []
@@ -109,7 +143,10 @@ def backward(loss):
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        node.grad += g
+        if node._vjp is None or node is loss:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
+            node.grad += g
         if node._vjp is None:
             continue
         for parent, contrib in node._vjp(g):

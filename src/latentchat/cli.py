@@ -1,7 +1,8 @@
 """Command-line front end: train, generate, evaluate, topics, synth.
 
-Exit codes: 0 success, 1 configuration error, 2 data or input error,
-3 numeric or training failure.
+Exit codes: 0 success, 1 configuration error, 2 data, input, checkpoint
+or shape error (and a missing file), 3 numeric or training failure; each
+error class carries its code (see errors.py).
 """
 
 import argparse
@@ -12,14 +13,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .config import RunConfig, apply_preset
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DataError,
-    InputError,
-    NumericError,
-    TrainingError,
-)
+from .errors import CheckpointError, ConfigError, DataError, InputError, LatentChatError
 from .generate import default_latent, generate
 from .metrics import evaluate, gate_analysis, write_generations, write_report
 from .models import build_model
@@ -148,10 +142,19 @@ def _load_bundle(checkpoint_path):
     ckpt.load(checkpoint_path, model)
     base = os.path.dirname(os.path.abspath(checkpoint_path))
     extra = header.get("extra") or {}
-    vocab = Vocabulary.load(os.path.join(base, extra.get("vocab_file", "vocab.txt")))
+    vocab_path = os.path.join(base, extra.get("vocab_file", "vocab.txt"))
+    vocab = Vocabulary.load(vocab_path)
+    if len(vocab) != cfg.vocab_size:
+        raise CheckpointError(
+            f"{vocab_path}: {len(vocab)} tokens, but {checkpoint_path} "
+            f"was trained on {cfg.vocab_size}")
     stop_path = os.path.join(base, extra.get("stopword_file", "stopwords.txt"))
     with open(stop_path, encoding="utf-8") as fh:
         stopwords = {line.strip() for line in fh if line.strip()}
+    unknown = sorted(stopwords - set(vocab.id_to_token))
+    if unknown:
+        raise CheckpointError(
+            f"{stop_path}: stop-words not in {vocab_path}: {' '.join(unknown[:5])}")
     return model, vocab, stopwords, cfg
 
 
@@ -262,15 +265,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except LatentChatError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, InputError, CheckpointError, FileNotFoundError) as exc:
+        return exc.exit_code
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, TrainingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Exception taxonomy shared across the package.
 
-CLI exit codes: ConfigError -> 1, DataError/InputError -> 2,
-NumericError/TrainingError -> 3.
+CLI exit codes (each class's ``exit_code``): ConfigError -> 1;
+DataError, InputError, CheckpointError, ShapeError -> 2;
+NumericError, TrainingError -> 3.
 """
 
 
 class LatentChatError(Exception):
-    pass
+    exit_code = 2
 
 
 class ShapeError(LatentChatError):
@@ -15,6 +16,8 @@ class ShapeError(LatentChatError):
 
 class ConfigError(LatentChatError):
     """Invalid configuration value or unknown key."""
+
+    exit_code = 1
 
 
 class DataError(LatentChatError):
@@ -28,9 +31,13 @@ class InputError(LatentChatError):
 class NumericError(LatentChatError):
     """Non-finite values where finite ones are required."""
 
+    exit_code = 3
+
 
 class TrainingError(LatentChatError):
     """Optimisation failure (non-finite gradient or loss)."""
+
+    exit_code = 3
 
 
 class CheckpointError(LatentChatError):

@@ -2,7 +2,10 @@
 drawn per response from the standard prior or the prompt-conditional one.
 
 Every (prompt, response) stream owns a derived RNG so output is
-reproducible regardless of batching."""
+reproducible regardless of batching.  Decoding runs without a tape
+(``autodiff.no_grad``), and each step draws the gates and tokens of all
+live rows at once: a stream spends one ``random()`` on its gate, then one
+on its token."""
 
 import math
 from dataclasses import dataclass
@@ -62,6 +65,7 @@ def _check_combo(model, strategy, latent, n, temperature):
         raise ConfigError("checkpoint was built with an unconditional prior")
 
 
+@ad.no_grad()
 def generate(model, vocab, prompt_pairs, strategy=GREEDY, temperature=1.0,
              latent="none", n=5, seed=0, max_len=50, gate_mode="sample",
              prompt_texts=None):
@@ -122,48 +126,57 @@ def _decode_round(model, prompt, prompt_len, rngs, strategy, temperature,
     states = model.decoder.init_states(finals)
     prev = np.ones(b, dtype=np.int64)  # <s>
     finished = np.zeros(b, dtype=bool)
-    out = [[] for _ in range(b)]
-    gate_out = [[] if theta_rows is not None else None for _ in range(b)]
+    lengths = np.zeros(b, dtype=np.int64)
+    tokens, gate_steps = [], []
     eos = 2
     for _ in range(max_len):
+        # finished rows keep stepping (fed <pad>): dropping them would
+        # change the rounding of the row products for the live rows
         x = model.decoder.embed_step(prev)
         if nu is not None:
             x = ad.concat([x, nu], axis=1)
         h, states = model.decoder.step(x, states)
-        logits = model.decoder.logits(h).data.copy()
+        live = np.flatnonzero(~finished)
+        logits = model.decoder.logits(h).data[live]
         if theta_rows is not None:
-            z = ad.matmul(h, model.w2).data[:, 0]
-            gate_p = sigmoid(z)
-            for i in range(b):
-                if finished[i]:
-                    continue
-                if gate_mode == "sample":
-                    l_i = 1.0 if rngs[i].random() < gate_p[i] else 0.0
-                else:
-                    l_i = 1.0 if gate_p[i] > 0.5 else 0.0
-                logits[i] += l_i * topic_part[i]
-                gate_out[i].append(float(gate_p[i]))
+            gate_p = sigmoid((h.data @ model.w2.data)[:, 0])
+            if gate_mode == "sample":
+                on = np.array([rngs[i].random() for i in live]) < gate_p[live]
+            else:
+                on = gate_p[live] > 0.5
+            logits += on[:, None] * topic_part[live]
+            gate_steps.append(gate_p)
         logits[:, 0] = -1e30  # never emit <pad> or <s>
         logits[:, 1] = -1e30
-        nxt = np.empty(b, dtype=np.int64)
-        for i in range(b):
-            if finished[i]:
-                nxt[i] = 0
-                continue
-            if strategy == GREEDY:
-                nxt[i] = int(np.argmax(logits[i]))
-            else:
-                lp = logits[i] / temperature
-                lp -= lp.max()
-                probs = np.exp(lp)
-                probs /= probs.sum()
-                nxt[i] = int(rngs[i].choice(len(probs), p=probs))
-        for i in range(b):
-            if not finished[i]:
-                out[i].append(int(nxt[i]))
-                if nxt[i] == eos:
-                    finished[i] = True
+        nxt = np.zeros(b, dtype=np.int64)
+        if strategy == GREEDY:
+            nxt[live] = logits.argmax(axis=1)
+        else:
+            nxt[live] = sample_rows(logits / temperature, [rngs[i] for i in live])
+        tokens.append(nxt)
+        lengths[live] += 1
+        finished[live] = nxt[live] == eos
         prev = nxt
         if finished.all():
             break
-    return out, gate_out
+    gates = _row_prefixes(gate_steps, lengths) if theta_rows is not None else [None] * b
+    return _row_prefixes(tokens, lengths), gates
+
+
+def _row_prefixes(steps, lengths):
+    """Row r of the step-major [b] arrays in `steps`, cut to lengths[r]."""
+    cols = np.stack(steps, axis=1) if steps else np.zeros((len(lengths), 0))
+    return [cols[r, :n].tolist() for r, n in enumerate(lengths)]
+
+
+def sample_rows(logits, rngs):
+    """One draw per row from softmax(logits[r]) with one rngs[r].random()
+    each, the very draw ``rngs[r].choice(V, p=softmax(logits[r]))`` makes:
+    the count of normalised-cdf entries at or below the uniform."""
+    lp = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(lp)
+    probs /= probs.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    u = np.array([rng.random() for rng in rngs])
+    return (cdf <= u[:, None]).sum(axis=1)

@@ -104,6 +104,7 @@ class GaussianLatentSeq2Seq(Seq2Seq):
         bows = Tensor(np.concatenate([batch.bow_prompt, batch.bow_response], axis=1))
         return self.infer_net(bows)
 
+    @ad.no_grad()
     def eval_sums(self, batch, rng=None):
         eps = eval_noise(rng, batch.size, self.cfg.k)
         stats, approx_nll = self._eval_pass(batch, eps)

@@ -75,6 +75,7 @@ class Seq2Seq(BaseModel):
         }
         return obj, stats
 
+    @ad.no_grad()
     def eval_sums(self, batch, rng=None):
         """Evaluation accumulators: approx NLL (= exact here), bound, KL."""
         _, stats = self.objective(batch, training=False)

@@ -202,6 +202,7 @@ class TopicGatedSeq2Seq(GaussianLatentSeq2Seq):
         _, stats, reuse = self._bound(batch, 1.0, False, None, eps)
         return stats, self._approx_nll(batch, *reuse)
 
+    @ad.no_grad()
     def gate_probs_forced(self, batch):
         """sigmoid(W2^T h_t) at reference positions -> ([T*B] probs,
         emitted token ids, validity mask)."""
@@ -278,6 +279,7 @@ class NeuralTopicModel(BaseModel):
         }
         return obj, stats
 
+    @ad.no_grad()
     def eval_sums(self, batch, rng=None):
         bags = batch.bow_prompt + batch.bow_response
         eps = eval_noise(rng, bags.shape[0], self.cfg.k)

@@ -3,6 +3,7 @@ finite-difference gradient checker used throughout the test suite."""
 
 import numpy as np
 
+from .autodiff import no_grad
 from .errors import TrainingError
 
 
@@ -58,7 +59,8 @@ def grad_check(f, params, h=1e-5):
     and central finite differences over every coordinate of `params`.
 
     `f` must re-run the forward pass from the current parameter values
-    (any sampling inside must be frozen by the caller).
+    (any sampling inside must be frozen by the caller).  The finite
+    differences run it under ``no_grad``, so they build no tape.
     """
     params = dict(params)
     for p in params.values():
@@ -68,17 +70,18 @@ def grad_check(f, params, h=1e-5):
     analytic = {k: p.grad.copy() for k, p in params.items()}
 
     worst = 0.0
-    for k, p in params.items():
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = float(f().data)
-            flat[i] = orig - h
-            down = float(f().data)
-            flat[i] = orig
-            num = (up - down) / (2.0 * h)
-            ana = analytic[k].reshape(-1)[i]
-            denom = max(abs(num) + abs(ana), 1.0)
-            worst = max(worst, abs(num - ana) / denom)
+    with no_grad():
+        for k, p in params.items():
+            flat = p.data.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = float(f().data)
+                flat[i] = orig - h
+                down = float(f().data)
+                flat[i] = orig
+                num = (up - down) / (2.0 * h)
+                ana = analytic[k].reshape(-1)[i]
+                denom = max(abs(num) + abs(ana), 1.0)
+                worst = max(worst, abs(num - ana) / denom)
     return worst

@@ -299,3 +299,54 @@ def test_shared_subexpression_gradient():
     loss = ad.tsum(x * x + 3.0 * x)
     loss.backward()
     assert x.grad.tolist() == [7.0]
+
+
+# ---------------------------------------------------------------------------
+# no_grad and lazy grad buffers
+
+
+def test_no_grad_builds_parentless_tensors():
+    x = param([[1.0, -2.0], [0.5, 3.0]])
+    w = param([[0.3], [-0.7]])
+    taped = ad.tsum(ad.tanh(ad.matmul(x, w)))
+    with ad.no_grad():
+        outs = [ad.matmul(x, w), x * x, ad.softmax(x), ad.narrow(x, 1, 0, 1),
+                ad.lstm_step(*lstm_step_inputs(9))]
+        bare = ad.tsum(ad.tanh(ad.matmul(x, w)))
+    for t in outs + [bare]:
+        assert t._parents == () and t._vjp is None
+        assert t.grad is None and not t.requires_grad
+    assert bare.data == taped.data
+    # leaves built inside the block still carry a grad buffer
+    with ad.no_grad():
+        leaf = param([1.0])
+    assert leaf.requires_grad and leaf.grad is not None
+
+
+def test_no_grad_nests_and_restores_on_exception():
+    x = param([1.0, 2.0])
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert (x * x)._parents == ()  # still off after the inner block
+    assert (x * x)._parents  # back on after the outer one
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("boom")
+    assert (x * x)._parents
+    assert ad.no_grad()(lambda: (x * x)._parents)() == ()  # as a decorator
+    assert (x * x)._parents
+
+
+def test_grad_buffers_only_on_leaves_and_root():
+    x = param([1.0, 2.0])
+    const = Tensor([3.0, 4.0])
+    mid = x * const
+    loss = ad.tsum(mid * mid)
+    assert const.grad is None and mid.grad is None and loss.grad is None
+    loss.backward()
+    assert mid.grad is None
+    assert x.grad.tolist() == [18.0, 64.0]  # 2 * x * const^2
+    assert loss.grad.tolist() == 1.0
+    # a node whose inputs need no gradient is no tape node
+    assert (const * const)._parents == ()

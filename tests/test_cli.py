@@ -8,6 +8,7 @@ import pytest
 
 from conftest import make_model, tiny_cfg
 from latentchat import checkpoint as ckpt
+from latentchat import cli, errors
 from latentchat.cli import main
 from latentchat.config import RunConfig, apply_preset
 from latentchat.errors import CheckpointError, ConfigError
@@ -370,6 +371,28 @@ def test_exit_codes(workspace, tmp_path, capsys):
     assert main(["generate", "--checkpoint", str(cut),
                  "--prompts", str(prompts)]) == 2
 
+    # a vocabulary cut short, or a stop-word outside it, beside a valid checkpoint
+    run = workspace / "s2s"
+    vocab_lines = (run / "vocab.txt").read_text().splitlines(keepends=True)
+    stop_text = (run / "stopwords.txt").read_text()
+    for name, vocab_text, stops in (
+            ("short", "".join(vocab_lines[:20]), stop_text),
+            ("stops", "".join(vocab_lines), stop_text + "zzzunseen\n")):
+        bundle = tmp_path / name
+        bundle.mkdir()
+        (bundle / "final.ckpt").write_bytes((run / "final.ckpt").read_bytes())
+        (bundle / "vocab.txt").write_text(vocab_text)
+        (bundle / "stopwords.txt").write_text(stops)
+        bad_file = "vocab.txt" if name == "short" else "stopwords.txt"
+        ck = str(bundle / "final.ckpt")
+        for argv in (["generate", "--checkpoint", ck, "--prompts", str(prompts)],
+                     ["evaluate", "--checkpoint", ck, "--corpus", corpus],
+                     ["topics", "--checkpoint", ck]):
+            capsys.readouterr()
+            assert main(argv) == 2, (name, argv[0])
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(bundle / bad_file) in err, err
+
 
 def test_checkpoint_with_retired_keys_loads(workspace, tmp_path):
     run = workspace / "s2s"
@@ -427,3 +450,27 @@ def test_topics_clamps_k_words(workspace, tmp_path, capsys):
                  "--k-words", "10000"]) == 0
     captured = capsys.readouterr()
     assert "clamped" in captured.err
+
+
+def _documented_exit_codes():
+    """Class name -> exit code, as the errors module docstring lists them."""
+    codes = {}
+    for names, code in re.findall(r"((?:\w+Error,?\s*)+)->\s*(\d)", errors.__doc__):
+        for name in re.findall(r"\w+Error", names):
+            codes[name] = int(code)
+    return codes
+
+
+@pytest.mark.parametrize("cls", errors.LatentChatError.__subclasses__(),
+                         ids=lambda c: c.__name__)
+def test_every_error_class_has_its_documented_exit_code(cls, monkeypatch, capsys):
+    code = _documented_exit_codes()[cls.__name__]
+
+    def boom(args):
+        raise cls("bad thing in some.file")
+
+    monkeypatch.setitem(cli._COMMANDS, "synth", boom)
+    assert main(["synth", "--out", "unused"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == "error: bad thing in some.file\n"
+    assert "Traceback" not in captured.out + captured.err
