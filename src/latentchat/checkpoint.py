@@ -143,18 +143,21 @@ def load(path, model, optimizer=None):
     return header
 
 
-# keys that older headers echo and that no longer exist
-RETIRED_KEYS = ("layer_norm", "report_dir", "vocab")
+# keys that older headers echo and that no longer exist, with the one
+# value this version can still run (None: any value)
+RETIRED_KEYS = {"layer_norm": True, "tie_topic_proj": True,
+                "report_dir": None, "vocab": None}
 
 
 def config_from_header(header, path="checkpoint"):
     data = dict(header["config"])
-    if data.get("layer_norm", True) is not True:
-        raise CheckpointError(
-            f"{path}: trained without layer norm, which this version cannot run"
-        )
-    for key in RETIRED_KEYS:
-        data.pop(key, None)
+    for key, runnable in RETIRED_KEYS.items():
+        value = data.pop(key, runnable)
+        if runnable is not None and value is not runnable:
+            raise CheckpointError(
+                f"{path}: trained with {key}: {json.dumps(value)}, "
+                "which this version cannot run"
+            )
     try:
         return RunConfig.from_dict(data)
     except ConfigError as exc:

@@ -36,7 +36,6 @@ class RunConfig:
     residual_start: int = 3   # first layer index (1-based) with a residual skip
     mlp_hidden: int = 64
     latent_mode: str = "conditional"   # "unconditional" | "conditional"
-    tie_topic_proj: bool = True
     gate_mode: str = "sample"          # "sample" | "threshold"
     # training
     batch_size: int = 16

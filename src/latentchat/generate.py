@@ -1,11 +1,11 @@
 """Response generation: greedy or temperature sampling, with the latent
 drawn per response from the standard prior or the prompt-conditional one.
 
-Every (prompt, response) stream owns a derived RNG so output is
-reproducible regardless of batching.  Decoding runs without a tape
-(``autodiff.no_grad``), and each step draws the gates and tokens of all
-live rows at once: a stream spends one ``random()`` on its gate, then one
-on its token."""
+The prompts are encoded once per call.  Every (prompt, response) stream
+owns a derived RNG so output is reproducible regardless of batching.
+Decoding runs without a tape (``autodiff.no_grad``), and each step draws
+the gates and tokens of all live rows at once: a stream spends one
+``random()`` on its gate, then one on its token."""
 
 import math
 from dataclasses import dataclass
@@ -16,7 +16,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
 from .kernels import sigmoid
-from .models.topic import TopicGatedSeq2Seq, topic_proportion
 
 GREEDY, SAMPLE = "greedy", "sample"
 LATENT_MODES = ("none", "prior", "conditional")
@@ -87,10 +86,12 @@ def generate(model, vocab, prompt_pairs, strategy=GREEDY, temperature=1.0,
     samples = [
         GenerationSample(prompt_texts[i], [], [], latent, seed) for i in range(b)
     ]
+    _, finals, u = model.encode(prompt, prompt_len)
+    prior = model.prior(u, b) if latent == "conditional" else None
     for ri in range(n):
         rngs = [_stream_rng(seed, pi, ri) for pi in range(b)]
         responses, gates = _decode_round(
-            model, prompt, prompt_len, rngs, strategy, temperature, latent,
+            model, finals, prior, rngs, strategy, temperature, latent,
             max_len, gate_mode,
         )
         for i in range(b):
@@ -100,28 +101,19 @@ def generate(model, vocab, prompt_pairs, strategy=GREEDY, temperature=1.0,
     return samples
 
 
-def _decode_round(model, prompt, prompt_len, rngs, strategy, temperature,
+def _decode_round(model, finals, prior, rngs, strategy, temperature,
                   latent, max_len, gate_mode):
-    b = prompt.shape[0]
-    k = model.cfg.k
-    _, finals, u = model._encode_ids(prompt, prompt_len)
-
+    """One response per stream from one encode; prior is the conditional
+    prior of the prompts, or None to draw nu from N(0, I)."""
+    b = len(rngs)
     nu = None
-    theta_rows = None
     if latent != "none":
-        eps = np.stack([rng.standard_normal(k) for rng in rngs])
-        if latent == "prior":
-            nu_data = eps
-        else:
-            p = model.prior(u, b)
-            nu_data = p.mu.data + np.exp(0.5 * p.logvar.data) * eps
-        if isinstance(model, TopicGatedSeq2Seq):
-            theta_rows = topic_proportion(Tensor(nu_data), model.w1)
-            topic_part = ad.matmul(
-                theta_rows, ad.transpose(model.masked_beta())
-            ).data
-        else:
-            nu = Tensor(nu_data)
+        eps = np.stack([rng.standard_normal(model.cfg.k) for rng in rngs])
+        if prior is not None:
+            eps = prior.mu.data + np.exp(0.5 * prior.logvar.data) * eps
+        nu = Tensor(eps)
+    inputs = model.latent_inputs(nu)
+    gated = inputs.topic is not None
 
     states = model.decoder.init_states(finals)
     prev = np.ones(b, dtype=np.int64)  # <s>
@@ -133,18 +125,18 @@ def _decode_round(model, prompt, prompt_len, rngs, strategy, temperature,
         # finished rows keep stepping (fed <pad>): dropping them would
         # change the rounding of the row products for the live rows
         x = model.decoder.embed_step(prev)
-        if nu is not None:
-            x = ad.concat([x, nu], axis=1)
+        if inputs.step is not None:
+            x = ad.concat([x, inputs.step], axis=1)
         h, states = model.decoder.step(x, states)
         live = np.flatnonzero(~finished)
         logits = model.decoder.logits(h).data[live]
-        if theta_rows is not None:
-            gate_p = sigmoid((h.data @ model.w2.data)[:, 0])
+        if gated:
+            gate_p = sigmoid(model.gate_logits(h).data)
             if gate_mode == "sample":
                 on = np.array([rngs[i].random() for i in live]) < gate_p[live]
             else:
                 on = gate_p[live] > 0.5
-            logits += on[:, None] * topic_part[live]
+            logits += on[:, None] * inputs.topic.data[live]
             gate_steps.append(gate_p)
         logits[:, 0] = -1e30  # never emit <pad> or <s>
         logits[:, 1] = -1e30
@@ -159,7 +151,7 @@ def _decode_round(model, prompt, prompt_len, rngs, strategy, temperature,
         prev = nxt
         if finished.all():
             break
-    gates = _row_prefixes(gate_steps, lengths) if theta_rows is not None else [None] * b
+    gates = _row_prefixes(gate_steps, lengths) if gated else [None] * b
     return _row_prefixes(tokens, lengths), gates
 
 

@@ -1,4 +1,5 @@
-"""Shared model scaffolding: parameter registry and batch forward glue."""
+"""Shared model scaffolding: the parameter registry and the time-major
+target layout."""
 
 
 class BaseModel:
@@ -11,9 +12,6 @@ class BaseModel:
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
-
-    def param_data(self):
-        return {k: p.data.copy() for k, p in self.params.items()}
 
 
 def flat_targets(batch):

@@ -10,8 +10,7 @@ from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..errors import ConfigError
 from ..layers import MLP
-from .base import per_sequence
-from .seq2seq import Seq2Seq
+from .seq2seq import DecoderInputs, Seq2Seq
 
 
 @dataclass
@@ -77,10 +76,15 @@ def eval_noise(rng, b, k):
 
 
 class GaussianLatentSeq2Seq(Seq2Seq):
-    """Encoder-decoder with a sentence-level diagonal Gaussian: the prior
-    (standard, or conditioned on the prompt summary), the bag-of-words
-    inference net and the evaluation sums.  Subclasses decide how the
-    latent reaches the decoder and define objective and approx_nll."""
+    """Encoder-decoder with a sentence-level diagonal Gaussian latent nu:
+    the prior (standard, or conditioned on the prompt summary), the
+    bag-of-words inference net, and the objective, approximate NLL and
+    evaluation sums shared by every family built on it.
+
+    A family says how nu reaches the decoder through the three pieces its
+    likelihood is built from: ``encode`` (the prompt, once per batch),
+    ``latent_inputs(nu)`` (what the decoder receives) and ``seq_loglik``
+    (log p(y[,l] | nu, x), words and gate apart)."""
 
     def _build_latent_heads(self, rng):
         """Prior and inference nets.  Called after the subclass's own
@@ -104,22 +108,71 @@ class GaussianLatentSeq2Seq(Seq2Seq):
         bows = Tensor(np.concatenate([batch.bow_prompt, batch.bow_response], axis=1))
         return self.infer_net(bows)
 
+    def regularizer(self):
+        """Penalty on the family's own parameters added to the objective."""
+        return None
+
+    def bound_terms(self, batch, enc, eps, training=False, rng=None):
+        """log p(y[,l] | nu, x) at nu = mu_q + sigma_q * eps, KL(q||p) per
+        row [B], and the decoder top states of that decode."""
+        _, finals, u = enc
+        q = self.posterior(batch)
+        inputs = self.latent_inputs(reparam_sample(q, eps))
+        h_tops = self.decoder_h_tops(batch, finals, inputs.step, training, rng)
+        kl_rows = kl_diag(q, self.prior(u, batch.size))
+        return self.seq_loglik(h_tops, batch, inputs), kl_rows, h_tops
+
+    def objective(self, batch, w=1.0, training=True, rng=None, eps=None):
+        enc = self.encode(batch.prompt, batch.prompt_len, training=training, rng=rng)
+        if eps is None:
+            eps = rng.standard_normal((batch.size, self.cfg.k))
+        ll, kl_rows, _ = self.bound_terms(batch, enc, eps, training, rng)
+        kl_sum = ad.tsum(kl_rows)
+        neg_ll = -1.0 * ll.words_sum
+        if ll.gate is not None:
+            neg_ll = neg_ll - ll.gate_sum
+        obj = (1.0 / batch.size) * (neg_ll + w * kl_sum)
+        penalty = self.regularizer()
+        if penalty is not None:
+            obj = obj + penalty
+        stats = {
+            "nll": -float(ll.words_sum.data),
+            "recon": -float(ll.words_sum.data),
+            "kl": float(kl_sum.data),
+            "gate": 0.0 if ll.gate is None else -float(ll.gate_sum.data),
+            "tokens": batch.n_tokens,
+            "per_seq_neg_bound": -ll.per_seq(batch) + kl_rows.data,
+            "per_seq_kl": kl_rows.data.copy(),
+        }
+        return obj, stats
+
+    def approx_nll(self, batch, enc=None, h_tops=None):
+        """-log p(y[,l] | nu-hat, x) at nu-hat = the prior mean, with no
+        sampling.  enc may carry this batch's encode, and h_tops a decode
+        of it; the decode is reused when the decoder takes no per-step
+        latent input, which leaves its states independent of nu."""
+        if enc is None:
+            enc = self.encode(batch.prompt, batch.prompt_len)
+        _, finals, u = enc
+        inputs = self.latent_inputs(self.prior(u, batch.size).mu)
+        if h_tops is None or inputs.step is not None:
+            h_tops = self.decoder_h_tops(batch, finals, nu=inputs.step)
+        return -self.seq_loglik(h_tops, batch, inputs).total()
+
     @ad.no_grad()
     def eval_sums(self, batch, rng=None):
+        """The bound at one posterior draw and the approximate NLL, from
+        one encode of the batch."""
         eps = eval_noise(rng, batch.size, self.cfg.k)
-        stats, approx_nll = self._eval_pass(batch, eps)
+        enc = self.encode(batch.prompt, batch.prompt_len)
+        ll, kl_rows, h_tops = self.bound_terms(batch, enc, eps)
         return {
-            "approx_nll": approx_nll,
-            "tokens": stats["tokens"],
-            "per_seq_neg_bound": stats["per_seq_neg_bound"],
-            "per_seq_kl": stats["per_seq_kl"],
+            "approx_nll": self.approx_nll(batch, enc, h_tops),
+            "tokens": batch.n_tokens,
+            "per_seq_neg_bound": -ll.per_seq(batch) + kl_rows.data,
+            "per_seq_kl": kl_rows.data,
             "n_seqs": batch.size,
         }
-
-    def _eval_pass(self, batch, eps):
-        """Bound statistics at eps and the approximate NLL."""
-        _, stats = self.objective(batch, w=1.0, training=False, eps=eps)
-        return stats, self.approx_nll(batch)
 
 
 class LatentSeq2Seq(GaussianLatentSeq2Seq):
@@ -136,33 +189,6 @@ class LatentSeq2Seq(GaussianLatentSeq2Seq):
         self.params["dec.l1.Wx"].data[cfg.d_emb:, :] *= 12.5
         self._build_latent_heads(rng)
 
-    def objective(self, batch, w=1.0, training=True, rng=None, eps=None):
-        _, finals, u = self.encode(batch, training=training, rng=rng)
-        q = self.posterior(batch)
-        p = self.prior(u, batch.size)
-        if eps is None:
-            eps = rng.standard_normal((batch.size, self.cfg.k))
-        nu = reparam_sample(q, eps)
-        h_tops = self.decoder_h_tops(batch, finals, nu=nu, training=training, rng=rng)
-        ll_flat, ll_sum = self.word_loglik(h_tops, batch)
-        kl_rows = kl_diag(q, p)
-        kl_sum = ad.tsum(kl_rows)
-        obj = (1.0 / batch.size) * (-1.0 * ll_sum + w * kl_sum)
-        stats = {
-            "nll": -float(ll_sum.data),
-            "recon": -float(ll_sum.data),
-            "kl": float(kl_sum.data),
-            "gate": 0.0,
-            "tokens": batch.n_tokens,
-            "per_seq_neg_bound": -per_sequence(ll_flat.data, batch) + kl_rows.data,
-            "per_seq_kl": kl_rows.data.copy(),
-        }
-        return obj, stats
-
-    def approx_nll(self, batch):
-        """Deterministic decode with nu-hat = prior mean (no sampling)."""
-        _, finals, u = self.encode(batch, training=False)
-        p = self.prior(u, batch.size)
-        h_tops = self.decoder_h_tops(batch, finals, nu=p.mu)
-        _, ll_sum = self.word_loglik(h_tops, batch)
-        return -float(ll_sum.data)
+    def latent_inputs(self, nu):
+        """nu itself, as the per-step decoder input slot."""
+        return DecoderInputs(step=nu)

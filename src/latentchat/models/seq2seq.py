@@ -1,5 +1,8 @@
 """Baseline encoder-decoder conversational model with teacher-forced
-likelihood training."""
+likelihood training, and the three pieces every decoder family builds
+its likelihood from: ``encode``, ``latent_inputs`` and ``seq_loglik``."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -7,6 +10,36 @@ from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..layers import DecoderStack, EncoderStack
 from .base import BaseModel, flat_targets, per_sequence
+
+
+@dataclass
+class DecoderInputs:
+    """What one latent draw gives the decoder: a per-step input slot
+    concatenated to every word embedding ([B,k]), and a topic term added
+    to the word logits wherever the gate is on ([B,L])."""
+
+    step: Tensor = None
+    topic: Tensor = None
+
+
+@dataclass
+class SeqLogLik:
+    """log p(y[,l] | nu, x) of one batch: masked time-major per-token
+    terms [T*B] and their sums, the words and the gate kept apart."""
+
+    words: Tensor
+    words_sum: Tensor
+    gate: Tensor = None
+    gate_sum: Tensor = None
+
+    def total(self):
+        t = float(self.words_sum.data)
+        return t if self.gate is None else t + float(self.gate_sum.data)
+
+    def per_seq(self, batch):
+        """Per-sequence log-likelihood [B], gate included."""
+        s = per_sequence(self.words.data, batch)
+        return s if self.gate is None else s + per_sequence(self.gate.data, batch)
 
 
 class Seq2Seq(BaseModel):
@@ -19,17 +52,16 @@ class Seq2Seq(BaseModel):
 
     # ----- forward pieces ---------------------------------------------------
 
-    def encode(self, batch, training=False, rng=None):
+    def encode(self, prompt, prompt_len, training=False, rng=None):
         """Returns (per-step top states, per-layer finals, prompt summary)."""
-        return self._encode_ids(
-            batch.prompt, batch.prompt_len, training=training, rng=rng
-        )
-
-    def _encode_ids(self, prompt, prompt_len, training=False, rng=None):
         states, finals = self.encoder.forward(
             prompt, prompt_len, training=training, rng=rng
         )
         return states, finals, finals[-1][0]
+
+    def latent_inputs(self, nu=None):
+        """No latent reaches this decoder."""
+        return DecoderInputs()
 
     def decoder_h_tops(self, batch, finals, nu=None, training=False, rng=None):
         inputs = batch.decoder_inputs()
@@ -56,21 +88,28 @@ class Seq2Seq(BaseModel):
         ll = ad.pick(lp, tgt) * Tensor(mask)
         return ll, ad.tsum(ll)
 
+    def seq_loglik(self, h_tops, batch, inputs):
+        """log p(y | nu, x) from the decoder top states of a decode that
+        took inputs.step."""
+        return SeqLogLik(*self.word_loglik(h_tops, batch))
+
     # ----- training / evaluation -------------------------------------------
 
     def objective(self, batch, w=1.0, training=True, rng=None, eps=None):
-        _, finals, _ = self.encode(batch, training=training, rng=rng)
+        _, finals, _ = self.encode(
+            batch.prompt, batch.prompt_len, training=training, rng=rng
+        )
         h_tops = self.decoder_h_tops(batch, finals, training=training, rng=rng)
-        ll_flat, ll_sum = self.word_loglik(h_tops, batch)
-        obj = (-1.0 / batch.size) * ll_sum
-        nll = -float(ll_sum.data)
+        ll = self.seq_loglik(h_tops, batch, self.latent_inputs())
+        obj = (-1.0 / batch.size) * ll.words_sum
+        nll = -ll.total()
         stats = {
             "nll": nll,
             "recon": nll,
             "kl": 0.0,
             "gate": 0.0,
             "tokens": batch.n_tokens,
-            "per_seq_neg_bound": -per_sequence(ll_flat.data, batch),
+            "per_seq_neg_bound": -ll.per_seq(batch),
             "per_seq_kl": np.zeros(batch.size),
         }
         return obj, stats

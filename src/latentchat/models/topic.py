@@ -6,11 +6,11 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from ..errors import InputError, TrainingError
+from ..errors import InputError
 from ..kernels import sigmoid
 from ..layers import init_uniform
 from ..text import N_RESERVED
-from .base import BaseModel, flat_targets, per_sequence
+from .base import BaseModel, flat_targets
 from .latent import (
     DiagonalGaussian,
     GaussianHead,
@@ -19,6 +19,7 @@ from .latent import (
     kl_diag,
     reparam_sample,
 )
+from .seq2seq import DecoderInputs, SeqLogLik
 
 
 def topic_proportion(nu, w1):
@@ -82,8 +83,9 @@ def _nonreserved_row_mask(vocab_size):
 
 class TopicGatedSeq2Seq(GaussianLatentSeq2Seq):
     """Encoder-decoder whose word logits are additively fused with a
-    gated topic contribution beta @ theta; the per-word binary gate is
-    observed from the stop-word labels during training."""
+    gated topic contribution beta @ theta, theta = softmax(W1^T nu); the
+    per-word binary gate is observed from the stop-word labels during
+    training."""
 
     kind = "ltcm"
 
@@ -99,11 +101,6 @@ class TopicGatedSeq2Seq(GaussianLatentSeq2Seq):
         self._row_mask = Tensor(_nonreserved_row_mask(L))
         self.w1 = init_uniform(rng, (k, K), scale=2.0)
         self.params["topic_proj_w1"] = self.w1
-        if cfg.tie_topic_proj:
-            self.wa = self.w1
-        else:
-            self.wa = init_uniform(rng, (k, K), scale=2.0)
-            self.params["infer_proj_wa"] = self.wa
         self.w2 = init_uniform(rng, (cfg.d, 1))
         self.params["gate_w2"] = self.w2
         self._build_latent_heads(rng)
@@ -114,101 +111,50 @@ class TopicGatedSeq2Seq(GaussianLatentSeq2Seq):
         """beta with reserved-token rows pinned to zero (no gradient)."""
         return self.beta * self._row_mask
 
-    def fused_loglik(self, h_tops, batch, theta, gate_flat):
-        """Word log-likelihood with the gated topic term added to the
+    def latent_inputs(self, nu):
+        """The [B,L] topic term theta beta^T; the decoder input is plain."""
+        theta = topic_proportion(nu, self.w1)
+        return DecoderInputs(topic=ad.matmul(theta, ad.transpose(self.masked_beta())))
+
+    def fused_loglik(self, h_tops, batch, topic_part, gate_flat):
+        """Word log-likelihood with the [B,L] topic term added to the
         logits; gate_flat is the observed [T*B] 0/1 label vector."""
-        t_steps = len(h_tops)
-        topic_part = ad.matmul(theta, ad.transpose(self.masked_beta()))  # [B,L]
-        tiled = ad.concat([topic_part] * t_steps, axis=0)
+        tiled = ad.concat([topic_part] * len(h_tops), axis=0)
         topic_add = tiled * Tensor(gate_flat[:, None])
         return self.word_loglik(h_tops, batch, topic_add=topic_add)
 
-    def gate_logits(self, h_tops):
-        H = ad.concat(h_tops, axis=0)
-        return ad.sum_axis(ad.matmul(H, self.w2), axis=1)  # [T*B]
+    def gate_logits(self, H):
+        """[N,d] decoder top states -> [N] gate logits."""
+        return ad.sum_axis(ad.matmul(H, self.w2), axis=1)
 
     def gate_loglik(self, h_tops, batch):
         _, mask, gate = flat_targets(batch)
-        z = self.gate_logits(h_tops)
+        z = self.gate_logits(ad.concat(h_tops, axis=0))
         ll = (
             Tensor(gate) * ad.log_sigmoid(z)
             + Tensor(1.0 - gate) * ad.log_sigmoid(-1.0 * z)
         ) * Tensor(mask)
         return ll, ad.tsum(ll)
 
-    # ----- training / evaluation -------------------------------------------
-
-    def objective(self, batch, w=1.0, training=True, rng=None, eps=None):
-        obj, stats, _ = self._bound(batch, w, training, rng, eps)
-        return obj, stats
-
-    def _bound(self, batch, w, training, rng, eps):
-        """objective() plus what the approximate NLL can reuse: the decoder
-        top states, the prior and the gate log-likelihood sum."""
-        if batch.gate_labels is None:
-            raise TrainingError("topic-gated training requires gate labels")
-        _, finals, u = self.encode(batch, training=training, rng=rng)
-        q = self.posterior(batch)
-        p = self.prior(u, batch.size)
-        if eps is None:
-            eps = rng.standard_normal((batch.size, self.cfg.k))
-        nu = reparam_sample(q, eps)
-        theta = topic_proportion(nu, self.wa)
-        h_tops = self.decoder_h_tops(batch, finals, training=training, rng=rng)
+    def seq_loglik(self, h_tops, batch, inputs):
+        """Words with the topic term added where the observed gate label
+        is on, and the gate labels themselves."""
         _, _, gate = flat_targets(batch)
-        ll_flat, ll_sum = self.fused_loglik(h_tops, batch, theta, gate)
-        gate_flat, gate_sum = self.gate_loglik(h_tops, batch)
-        kl_rows = kl_diag(q, p)
-        kl_sum = ad.tsum(kl_rows)
-        penalty = beta_regularizers(
+        words, words_sum = self.fused_loglik(h_tops, batch, inputs.topic, gate)
+        return SeqLogLik(words, words_sum, *self.gate_loglik(h_tops, batch))
+
+    def regularizer(self):
+        return beta_regularizers(
             self.masked_beta(), self.cfg.lambda_ma, self.cfg.lambda_l2
         )
-        obj = (1.0 / batch.size) * (
-            -1.0 * ll_sum - gate_sum + w * kl_sum
-        ) + penalty
-        stats = {
-            "nll": -float(ll_sum.data),
-            "recon": -float(ll_sum.data),
-            "gate": -float(gate_sum.data),
-            "kl": float(kl_sum.data),
-            "tokens": batch.n_tokens,
-            "per_seq_neg_bound": (
-                -per_sequence(ll_flat.data, batch)
-                - per_sequence(gate_flat.data, batch)
-                + kl_rows.data
-            ),
-            "per_seq_kl": kl_rows.data.copy(),
-        }
-        return obj, stats, (h_tops, p, gate_sum)
-
-    def approx_nll(self, batch):
-        """Per-token probability p(y|h,l,theta-hat) p(l|h) with theta-hat
-        from the prior mean and l from the reference stop-word labels."""
-        _, finals, u = self.encode(batch, training=False)
-        p = self.prior(u, batch.size)
-        h_tops = self.decoder_h_tops(batch, finals)
-        _, gate_sum = self.gate_loglik(h_tops, batch)
-        return self._approx_nll(batch, h_tops, p, gate_sum)
-
-    def _approx_nll(self, batch, h_tops, p, gate_sum):
-        theta_hat = topic_proportion(p.mu, self.w1)
-        _, _, gate = flat_targets(batch)
-        _, ll_sum = self.fused_loglik(h_tops, batch, theta_hat, gate)
-        return -(float(ll_sum.data) + float(gate_sum.data))
-
-    def _eval_pass(self, batch, eps):
-        # the decoder states and the gate term do not depend on nu, so one
-        # encode and one decode serve both the bound and the approximate NLL
-        _, stats, reuse = self._bound(batch, 1.0, False, None, eps)
-        return stats, self._approx_nll(batch, *reuse)
 
     @ad.no_grad()
     def gate_probs_forced(self, batch):
         """sigmoid(W2^T h_t) at reference positions -> ([T*B] probs,
         emitted token ids, validity mask)."""
-        _, finals, _ = self.encode(batch, training=False)
+        _, finals, _ = self.encode(batch.prompt, batch.prompt_len)
         h_tops = self.decoder_h_tops(batch, finals)
-        z = self.gate_logits(h_tops)
+        z = self.gate_logits(ad.concat(h_tops, axis=0))
         probs = sigmoid(z.data)
         tgt, mask, _ = flat_targets(batch)
         return probs, tgt, mask
@@ -227,11 +173,6 @@ class NeuralTopicModel(BaseModel):
         self.params["beta"] = self.beta
         self.w1 = init_uniform(rng, (k, K))
         self.params["topic_proj_w1"] = self.w1
-        if cfg.tie_topic_proj:
-            self.wa = self.w1
-        else:
-            self.wa = init_uniform(rng, (k, K))
-            self.params["infer_proj_wa"] = self.wa
         self.infer_net = GaussianHead(
             rng, L, cfg.mlp_hidden, k, "infer_net", self.params
         )
@@ -253,7 +194,7 @@ class NeuralTopicModel(BaseModel):
         if eps is None:
             eps = rng.standard_normal((b, self.cfg.k))
         nu = reparam_sample(q, eps)
-        theta = topic_proportion(nu, self.wa)
+        theta = topic_proportion(nu, self.w1)
         mix = self.word_mixture(theta)
         ll_rows = ad.sum_axis(ad.log(mix) * Tensor(bags), axis=1)
         kl_rows = kl_diag(q, p)

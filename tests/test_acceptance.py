@@ -88,7 +88,7 @@ def test_criterion_01_gradient_correctness():
     t0 = time.monotonic()
     worst_model = 0.0
     for kind in ("s2s", "lvs2s", "ltcm", "ntm"):
-        cfg = tiny_cfg(kind, tie_topic_proj=False)
+        cfg = tiny_cfg(kind)
         model = make_model(cfg)
         batch = assemble_batch(
             tiny_pairs(tiny_vocab(), n=2, u=2, m=3), tiny_vocab(),
@@ -158,25 +158,19 @@ def test_criterion_02_bound_validity():
     vocab = tiny_vocab()
     stop = set(vocab.id_to_token[8:10])
     batch = assemble_batch(tiny_pairs(vocab, n=2, u=2, m=3), vocab, stop)
-    _, _, gate = flat_targets(batch)
 
     for kind in ("lvs2s", "ltcm"):
         cfg = tiny_cfg(kind, k=1, latent_mode="unconditional")
         model = make_model(cfg)
-        _, finals, _ = model.encode(batch, training=False)
+        _, finals, _ = model.encode(batch.prompt, batch.prompt_len)
         q = model.posterior(batch)
         mu, sig = q.mu.data[:, 0], np.exp(0.5 * q.logvar.data[:, 0])
 
         def ll_words(nu_col):
-            nu = Tensor(nu_col[:, None])
-            if kind == "lvs2s":
-                h_tops = model.decoder_h_tops(batch, finals, nu=nu)
-                ll_flat, _ = model.word_loglik(h_tops, batch)
-            else:
-                theta = topic_proportion(nu, model.wa)
-                h_tops = model.decoder_h_tops(batch, finals)
-                ll_flat, _ = model.fused_loglik(h_tops, batch, theta, gate)
-            return per_sequence(ll_flat.data, batch)  # [B]
+            inputs = model.latent_inputs(Tensor(nu_col[:, None]))
+            h_tops = model.decoder_h_tops(batch, finals, nu=inputs.step)
+            ll = model.seq_loglik(h_tops, batch, inputs)
+            return per_sequence(ll.words.data, batch)  # [B]
 
         # E_q[ll] and exact log-marginal, both by Gauss-Hermite
         ll_at_q = np.stack([ll_words(mu + math.sqrt(2.0) * sig * x) for x in nodes])
@@ -196,7 +190,7 @@ def test_criterion_02_bound_validity():
     mu, sig = q.mu.data[:, 0], np.exp(0.5 * q.logvar.data[:, 0])
 
     def ll_bags(nu_col):
-        theta = topic_proportion(Tensor(nu_col[:, None]), model.wa)
+        theta = topic_proportion(Tensor(nu_col[:, None]), model.w1)
         mix = model.word_mixture(theta)
         return (np.log(mix.data) * bags).sum(axis=1)
 
@@ -222,7 +216,7 @@ def test_criterion_02_bound_validity():
 
 
 def test_criterion_03_routing_all_gates_zero():
-    cfg = tiny_cfg("ltcm", tie_topic_proj=False, lambda_ma=0.0, lambda_l2=0.0)
+    cfg = tiny_cfg("ltcm", lambda_ma=0.0, lambda_l2=0.0)
     model = make_model(cfg)
     vocab = tiny_vocab()
     stop = set(vocab.id_to_token[N_RESERVED:])  # every real word a stop-word
@@ -234,11 +228,11 @@ def test_criterion_03_routing_all_gates_zero():
     obj.backward()
     ok = all(
         np.array_equal(model.params[n].grad, np.zeros_like(model.params[n].grad))
-        for n in ("beta", "topic_proj_w1", "infer_proj_wa")
+        for n in ("beta", "topic_proj_w1")
     )
     report(3, ok, "all-gate-zero batch -> bitwise-zero grads on "
-                  "beta / topic projection / inference projection")
-    for n in ("beta", "topic_proj_w1", "infer_proj_wa"):
+                  "beta / topic projection")
+    for n in ("beta", "topic_proj_w1"):
         assert np.array_equal(model.params[n].grad,
                               np.zeros_like(model.params[n].grad)), n
 
@@ -257,7 +251,7 @@ def test_criterion_03_never_emitted_rows():
     strictly positive whenever a gate is on; (c) the whole beta gradient
     equals G, so a word emitted only at gate-off steps gets no target pull.
     """
-    cfg = tiny_cfg("ltcm", tie_topic_proj=False, lambda_ma=0.0, lambda_l2=0.0)
+    cfg = tiny_cfg("ltcm", lambda_ma=0.0, lambda_l2=0.0)
     model = make_model(cfg)
     vocab = tiny_vocab()
     stop = set(vocab.id_to_token[8:10])
@@ -270,11 +264,11 @@ def test_criterion_03_never_emitted_rows():
     grad = model.params["beta"].grad
 
     # numpy reference from the forward pieces
-    _, finals, _ = model.encode(batch)
+    _, finals, _ = model.encode(batch.prompt, batch.prompt_len)
     h_tops = model.decoder_h_tops(batch, finals)
     logits = model.decoder.logits(ad.concat(h_tops, axis=0)).data  # [T*B,L]
     theta = topic_proportion(reparam_sample(model.posterior(batch), eps),
-                             model.wa).data  # [B,K]
+                             model.w1).data  # [B,K]
     tgt, mask, gate = flat_targets(batch)
     theta_flat = np.tile(theta, (len(h_tops), 1))  # time-major, like tgt
     beta = model.params["beta"].data.copy()

@@ -165,7 +165,7 @@ def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
     path = tmp_path / "last.ckpt"
     ckpt.save(path, model)
     before = path.read_bytes()
-    saved = model.param_data()
+    saved = {k: p.data.copy() for k, p in model.params.items()}
 
     for p in model.params.values():
         p.data += 1.0
@@ -402,7 +402,8 @@ def test_checkpoint_with_retired_keys_loads(workspace, tmp_path):
         (old / name).write_bytes((run / name).read_bytes())
     # the config echo of checkpoints written before these keys were retired
     _with_config_echo(run / "final.ckpt", old / "final.ckpt",
-                      {"layer_norm": True, "vocab": "", "report_dir": ""})
+                      {"layer_norm": True, "tie_topic_proj": True, "vocab": "",
+                       "report_dir": ""})
     corpus = str(workspace / "data" / "corpus.jsonl")
     for ck, out in ((run, "now"), (old, "then")):
         assert main(["evaluate", "--checkpoint", str(ck / "final.ckpt"),
@@ -410,8 +411,9 @@ def test_checkpoint_with_retired_keys_loads(workspace, tmp_path):
     report = "report_s2s.txt"
     assert (tmp_path / "now" / report).read_bytes() == (tmp_path / "then" / report).read_bytes()
 
-    # trained without layer norm, or an echo that is no valid config
-    for bad in ({"layer_norm": False}, {"split": "bogus"}):
+    # trained without layer norm or with an untied topic projection, or an
+    # echo that is no valid config
+    for bad in ({"layer_norm": False}, {"tie_topic_proj": False}, {"split": "bogus"}):
         plain = old / "bad.ckpt"
         _with_config_echo(run / "final.ckpt", plain, bad)
         with pytest.raises(CheckpointError, match=re.escape(str(plain))):

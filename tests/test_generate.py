@@ -117,6 +117,22 @@ def test_generate_builds_no_tape(monkeypatch):
         assert built["all"] > 0 and built["with_parents"] == 0, kind
 
 
+def test_generate_encodes_once_per_call():
+    vocab = tiny_vocab()
+    model = make_model(tiny_cfg("ltcm", max_len=4))
+    real = model.encode
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    model.encode = counting
+    generate(model, vocab, tiny_pairs(vocab, n=2), strategy="sample",
+             latent="conditional", n=3, seed=0, max_len=4)
+    assert len(calls) == 1
+
+
 def test_responses_terminate():
     cfg = tiny_cfg("ltcm", max_len=5)
     model = make_model(cfg)

@@ -190,3 +190,19 @@ def test_anneal_disabled_is_constant_one():
 def test_anneal_rejects_bad_steps():
     with pytest.raises(ConfigError):
         AnnealSchedule(0)
+
+
+@pytest.mark.parametrize("kind", ["s2s", "lvs2s", "ltcm", "ntm"])
+def test_every_parameter_gets_gradient(kind):
+    # a parameter that no loss reaches never trains
+    cfg = tiny_cfg(kind)
+    model = make_model(cfg)
+    batch = tiny_batch(tiny_vocab(), stopwords={"w0", "w1", "w2", "w3"}, n=3)
+    on = batch.gate_labels[batch.mask > 0]
+    assert 0 < on.sum() < on.size  # mixed gates
+    eps = np.random.default_rng(4).standard_normal((batch.size, cfg.k))
+    model.zero_grad()
+    obj, _ = model.objective(batch, training=False, eps=eps)
+    obj.backward()
+    dead = [n for n, p in model.params.items() if not np.any(p.grad)]
+    assert not dead, dead

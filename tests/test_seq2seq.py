@@ -14,7 +14,7 @@ def test_duplicated_pair_gives_identical_finals():
     vocab = tiny_vocab()
     pair = tiny_pairs(vocab, n=1)[0]
     batch = assemble_batch([pair, pair], vocab, set())
-    _, finals, _ = model.encode(batch)
+    _, finals, _ = model.encode(batch.prompt, batch.prompt_len)
     for h, c in finals:
         assert np.array_equal(h.data[0], h.data[1])
         assert np.array_equal(c.data[0], c.data[1])
@@ -97,7 +97,7 @@ def test_mask_carry_ignores_padded_prompt_steps():
     # manually widen the prompt with trailing pads
     wide = np.zeros((1, 6), dtype=np.int64)
     wide[0, :3] = batch1.prompt[0]
-    _, finals_a, _ = model._encode_ids(batch1.prompt, batch1.prompt_len)
-    _, finals_b, _ = model._encode_ids(wide, batch1.prompt_len)
+    _, finals_a, _ = model.encode(batch1.prompt, batch1.prompt_len)
+    _, finals_b, _ = model.encode(wide, batch1.prompt_len)
     for (ha, _), (hb, _) in zip(finals_a, finals_b):
         assert np.allclose(ha.data, hb.data, atol=1e-12)
