@@ -18,9 +18,14 @@ recorded: every op returns a parentless Tensor with no VJP and no
 context nests and restores the previous mode on exit, exceptions
 included.
 
-One coarse node, :func:`lstm_step`, covers a whole LN-LSTM step (both
-projections, per-gate-block layer norm, gates, masked carry) on a packed
-[B,2d] (h, c) state; its backward reuses :mod:`latentchat.kernels`.
+One coarse node, :func:`lstm_layer`, covers a whole LN-LSTM layer (or
+one direction of it) over a [T,B,d_in] sequence: the input projection of
+every step as one GEMM, then per step the recurrent projection,
+per-gate-block layer norm, gates and masked carry on a packed [B,2d]
+(h, c) state.  Its VJP runs backpropagation through time and computes
+the input, ``Wx`` and ``Wh`` gradients as one GEMM each over all steps.
+:func:`lstm_cell` is the one step both it and tape-free decoding run; the
+kernels come from :mod:`latentchat.kernels`.
 """
 
 import contextlib
@@ -55,7 +60,7 @@ class Tensor:
         self.name = name
         if parents:
             # an op result: a tape node only if some input needs its gradient
-            self.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+            self.requires_grad = _taped(*parents)
             self._parents = tuple(parents) if self.requires_grad else ()
             self._vjp = vjp if self.requires_grad else None
             self.grad = None
@@ -101,6 +106,14 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+    def __getitem__(self, key):
+        return index(self, key)
+
+
+def _taped(*inputs):
+    """Whether an op on `inputs` records a tape node (see Tensor)."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
 
 
 def _wrap(x):
@@ -256,19 +269,31 @@ def concat(tensors, axis=-1):
     )
 
 
-def narrow(a, axis, start, size):
-    """Contiguous slice along one axis."""
-    ax = axis % a.data.ndim
-    idx = [slice(None)] * a.data.ndim
-    idx[ax] = slice(start, start + size)
-    idx = tuple(idx)
+def index(a, key):
+    """a[key] for basic indexing (ints and slices); ``Tensor[...]``."""
+    key = key if isinstance(key, tuple) else (key,)
+    if not all(isinstance(k, (int, np.integer, slice)) for k in key):
+        raise ShapeError(f"index takes ints and slices only, got {key}")
 
     def vjp(g):
         full = np.zeros_like(a.data)
-        full[idx] = g
+        full[key] = g
         return [(a, full)]
 
-    return Tensor(a.data[idx], parents=(a,), vjp=vjp)
+    return Tensor(a.data[key], parents=(a,), vjp=vjp)
+
+
+def reshape(a, shape):
+    return Tensor(a.data.reshape(shape), parents=(a,),
+                  vjp=lambda g: [(a, g.reshape(a.data.shape))])
+
+
+def broadcast_to(a, shape):
+    """a repeated along new leading (or size-1) axes up to `shape`."""
+    def vjp(g):
+        return [(a, _unbroadcast(g, a.data.shape))]
+
+    return Tensor(np.broadcast_to(a.data, shape), parents=(a,), vjp=vjp)
 
 
 def embedding(table, ids):
@@ -325,55 +350,102 @@ def log_softmax(a):
     return Tensor(out, parents=(a,), vjp=vjp)
 
 
+def dropout_mask(rng, shape, rate):
+    """An inverted-dropout mask: kept units scaled by 1/(1 - rate)."""
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def scale(x, mask):
+    """x times a constant array, one node (dropout with a drawn mask)."""
+    return Tensor(x.data * mask, parents=(x,), vjp=lambda g: [(x, g * mask)])
+
+
 def dropout(x, rate, training, rng):
     """Inverted dropout; identity when not training or rate == 0."""
     if not (0.0 <= rate < 1.0):
         raise ConfigError(f"dropout rate must be in [0,1), got {rate}")
     if not training or rate == 0.0:
         return x
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return Tensor(x.data * mask, parents=(x,), vjp=lambda g: [(x, g * mask)])
+    return scale(x, dropout_mask(rng, x.data.shape, rate))
 
 
-def lstm_step(x, state, Wx, Wh, gain, bias, keep=None):
-    """One layer-normalised LSTM step as a single tape node: x [B,d_in] and
-    the packed state [B,2d] = (h, c) -> the next packed state.  gain/bias
-    [4d] normalise each (i,f,o,g) block on its own; rows where the bool
-    `keep` [B] is False carry their state over unchanged."""
-    b, d = state.data.shape[0], state.data.shape[1] // 2
-    n_in = Wx.data.shape[0]
-    shapes = tuple(t.data.shape for t in (x, state, Wx, Wh, gain, bias))
-    want = ((b, n_in), (b, 2 * d), (n_in, 4 * d), (d, 4 * d), (4 * d,), (4 * d,))
-    if shapes != want or (keep is not None and keep.shape != (b,)):
-        raise ShapeError(f"lstm_step shapes do not agree: {shapes}")
-    h_prev = state.data[:, :d]
-    c_prev = state.data[:, d:]
-    pre = (x.data @ Wx.data + h_prev @ Wh.data).reshape(b, 4, d)
-    gain4 = gain.data.reshape(4, d)
-    y, xhat, inv_std = K.layer_norm_fwd(pre, gain4, bias.data.reshape(4, d), LN_EPS)
+def lstm_cell(xw, state, Wh, gain, bias):
+    """One layer-normalised LSTM step on arrays: xw = x @ Wx [B,4d] and the
+    packed state [B,2d] = (h, c) -> (next packed state, residuals for the
+    backward).  gain/bias [4d] normalise each (i,f,o,g) block on its own."""
+    b, d = state.shape[0], state.shape[1] // 2
+    c_prev = state[:, d:]
+    pre = (xw + state[:, :d] @ Wh).reshape(b, 4, d)
+    y, xhat, inv_std = K.layer_norm_fwd(pre, gain.reshape(4, d), bias.reshape(4, d), LN_EPS)
     h, c, i, f, o, g = K.lstm_gates_fwd(y.reshape(b, 4 * d), c_prev)
-    out = np.concatenate([h, c], axis=1)
-    if keep is not None:
-        out = np.where(keep[:, None], out, state.data)
+    return np.concatenate([h, c], axis=1), (xhat, inv_std, i, f, o, g, c, c_prev)
 
-    def vjp(gs):
-        zeros = np.zeros_like(c)
-        if keep is not None:
-            carried = np.where(keep[:, None], 0.0, gs)
-            gs = np.where(keep[:, None], gs, 0.0)
-        # one gate backward for the h part and one for the c part, summed
-        # after, keeps fixed-seed runs bitwise: a single call with both
-        # rounds differently (after 32 desk ltcm steps the epoch objective
-        # moved by 1e-14 relative, parameters by up to 5e-11)
-        dy_h, dc_h = K.lstm_gates_bwd(gs[:, :d], zeros, i, f, o, g, c, c_prev)
-        dy_c, dc_c = K.lstm_gates_bwd(zeros, gs[:, d:], i, f, o, g, c, c_prev)
-        dpre, dgain, dbias = K.layer_norm_bwd(
-            (dy_h + dy_c).reshape(b, 4, d), xhat, inv_std, gain4)
-        dpre = dpre.reshape(b, 4 * d)
-        dstate = np.concatenate([dpre @ Wh.data.T, dc_h + dc_c], axis=1)
-        if keep is not None:
-            dstate += carried
-        return [(x, dpre @ Wx.data.T), (state, dstate), (Wx, x.data.T @ dpre),
-                (Wh, h_prev.T @ dpre), (gain, dgain.ravel()), (bias, dbias.ravel())]
 
-    return Tensor(out, parents=(x, state, Wx, Wh, gain, bias), vjp=vjp)
+def lstm_layer(xs, state0, Wx, Wh, gain, bias, keep=None, reverse=False):
+    """A layer-normalised LSTM over a sequence as a single tape node:
+    xs [T,B,d_in] and the packed start state [B,2d] -> the packed state
+    after every step, [T,B,2d], indexed by t in either direction.  Steps
+    run t = T-1 .. 0 when `reverse`; where the bool keep[t] [T,B] is False
+    a row carries its state over unchanged."""
+    shapes = tuple(t.data.shape for t in (xs, state0, Wx, Wh, gain, bias))
+    n_t, b, n_in = xs.data.shape if xs.data.ndim == 3 else (0, 0, 0)
+    d = state0.data.shape[-1] // 2
+    want = ((n_t, b, n_in), (b, 2 * d), (n_in, 4 * d), (d, 4 * d), (4 * d,), (4 * d,))
+    if n_t == 0 or shapes != want or (keep is not None and keep.shape != (n_t, b)):
+        raise ShapeError(f"lstm_layer shapes do not agree: {shapes}")
+    X = xs.data.reshape(n_t * b, n_in)
+    if b > 1:
+        XW = (X @ Wx.data).reshape(n_t, b, 4 * d)
+    else:
+        # a one-row product goes to gemv, which rounds apart from the rows
+        # of a gemm; step by step it matches the decoding step bitwise
+        XW = [x @ Wx.data for x in xs.data]
+    order = range(n_t - 1, -1, -1) if reverse else range(n_t)
+    taped = _taped(xs, state0, Wx, Wh, gain, bias)
+    saved = [None] * n_t
+    out = np.empty((n_t, b, 2 * d))
+    state = state0.data
+    for t in order:
+        new, res = lstm_cell(XW[t], state, Wh.data, gain.data, bias.data)
+        out[t] = new if keep is None else np.where(keep[t][:, None], new, state)
+        state = out[t]
+        if taped:
+            saved[t] = res
+
+    def vjp(gout):
+        dpre_all = np.empty((n_t, b, 4 * d))
+        h_prev = np.empty((n_t, b, d))
+        dgain = np.zeros((4, d))
+        dbias = np.zeros((4, d))
+        gain4 = gain.data.reshape(4, d)
+        dh = np.zeros((b, d))
+        dc = np.zeros((b, d))
+        for t in reversed(order):
+            xhat, inv_std, i, f, o, g, c, c_prev = saved[t]
+            gh = gout[t, :, :d] + dh
+            gc = gout[t, :, d:] + dc
+            if keep is not None:
+                k = keep[t][:, None]
+                carry_h, carry_c = np.where(k, 0.0, gh), np.where(k, 0.0, gc)
+                gh, gc = np.where(k, gh, 0.0), np.where(k, gc, 0.0)
+            dy, dc = K.lstm_gates_bwd(gh, gc, i, f, o, g, c, c_prev)
+            dpre, dg, db = K.layer_norm_bwd(dy.reshape(b, 4, d), xhat, inv_std, gain4)
+            dgain += dg
+            dbias += db
+            dpre_all[t] = dpre.reshape(b, 4 * d)
+            dh = dpre_all[t] @ Wh.data.T
+            if keep is not None:
+                dh += carry_h
+                dc += carry_c
+        # the h each step read: the state after the step before it
+        if reverse:
+            h_prev[:-1], h_prev[-1] = out[1:, :, :d], state0.data[:, :d]
+        else:
+            h_prev[0], h_prev[1:] = state0.data[:, :d], out[:-1, :, :d]
+        dP = dpre_all.reshape(n_t * b, 4 * d)
+        return [(xs, (dP @ Wx.data.T).reshape(xs.data.shape)),
+                (state0, np.concatenate([dh, dc], axis=1)),
+                (Wx, X.T @ dP), (Wh, h_prev.reshape(n_t * b, d).T @ dP),
+                (gain, dgain.ravel()), (bias, dbias.ravel())]
+
+    return Tensor(out, parents=(xs, state0, Wx, Wh, gain, bias), vjp=vjp)

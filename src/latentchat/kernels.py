@@ -49,11 +49,15 @@ def lstm_gates_bwd(dh, dc_out, i, f, o, g, c, c_prev):
 
 def layer_norm_fwd(x, gain, bias, eps):
     """Normalise over the last axis, so [B,n] rows and [B,4,d] gate blocks
-    (with [4,d] gain/bias) take the same path."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    (with [4,d] gain/bias) take the same path.  The mean and the centred
+    variance are the sums np.mean and np.var take, bit for bit, without
+    their per-call dispatch, and the centred x is computed once."""
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / n
+    xc = x - mu
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
+    xhat = xc * inv_std
     y = xhat * gain + bias
     return y, xhat, inv_std
 

@@ -1,6 +1,7 @@
 """Neural building blocks on top of the autodiff core: LN-LSTM cells,
 the bidirectional-bottom encoder stack, the decoder stack, and MLPs.
-A cell step is one ``autodiff.lstm_step`` node on a packed (h, c) state."""
+A layer (one direction of it, in the encoder's bottom layer) over a whole
+sequence is one ``autodiff.lstm_layer`` node on packed (h, c) states."""
 
 import numpy as np
 
@@ -36,9 +37,16 @@ class LSTMCell:
         params[f"{prefix}.ln_gain"] = self.ln_gain
         params[f"{prefix}.ln_bias"] = self.ln_bias
 
-    def step(self, x, state, keep=None):
-        """Packed state [B,2d] -> next packed state; `keep` rows advance."""
-        return ad.lstm_step(x, state, self.Wx, self.Wh, self.ln_gain, self.ln_bias, keep)
+    def layer(self, xs, state0, keep=None, reverse=False):
+        """[T,B,d_in] inputs -> [T,B,2d] packed states, one tape node;
+        where keep [T,B] is False a row carries its state."""
+        return ad.lstm_layer(xs, state0, self.Wx, self.Wh, self.ln_gain,
+                             self.ln_bias, keep, reverse)
+
+    def step(self, x, state):
+        """One step on arrays, no tape: [B,d_in], packed [B,2d] -> next."""
+        return ad.lstm_cell(x @ self.Wx.data, state, self.Wh.data,
+                            self.ln_gain.data, self.ln_bias.data)[0]
 
 
 class MLP:
@@ -75,45 +83,39 @@ class EncoderStack:
         ]
 
     def forward(self, prompt, prompt_len, training=False, rng=None):
-        """prompt [B,U] int ids -> (per-step top states, (h, c) finals per
-        layer).  Steps past a row's prompt length carry its state over."""
+        """prompt [B,U] int ids -> (top states [U,B,d], (h, c) finals per
+        layer).  Steps past a row's prompt length carry its state over.
+        Each layer input draws one dropout mask over all its steps."""
         b, u_max = prompt.shape
         d, half = self.cfg.d, self.cfg.d // 2
         drop = self.cfg.dropout if training else 0.0
-        keeps = [t < prompt_len for t in range(u_max)]
+        keep = np.arange(u_max)[:, None] < prompt_len  # [U,B]
+        zeros = Tensor(np.zeros((b, d)))
 
-        def run(cell, n, inputs, order):
-            state = Tensor(np.zeros((b, 2 * n)))
-            outs = [None] * u_max
-            for t in order:
-                state = cell.step(inputs[t], state, keeps[t])
-                outs[t] = ad.narrow(state, 1, 0, n)
-            return outs, state
-
-        def drop_all(xs):
-            return [ad.dropout(x, drop, training, rng) for x in xs] if drop else xs
-
-        embs = drop_all([ad.embedding(self.emb, prompt[:, t]) for t in range(u_max)])
-        f_outs, fs = run(self.fwd, half, embs, range(u_max))
-        b_outs, bs = run(self.bwd, half, embs, range(u_max - 1, -1, -1))
-        states = [ad.concat([f_outs[t], b_outs[t]], axis=1) for t in range(u_max)]
+        embs = ad.dropout(ad.embedding(self.emb, prompt.T), drop, training, rng)
+        fw = self.fwd.layer(embs, zeros, keep)
+        bw = self.bwd.layer(embs, zeros, keep, reverse=True)
+        states = ad.concat([fw[:, :, :half], bw[:, :, :half]], axis=2)
+        # a direction's final state is the one after its last step
         finals = [tuple(
-            ad.concat([ad.narrow(fs, 1, lo, half), ad.narrow(bs, 1, lo, half)], axis=1)
+            ad.concat([fw[-1, :, lo : lo + half], bw[0, :, lo : lo + half]], axis=1)
             for lo in (0, half)
         )]
-
         for li, cell in enumerate(self.upper):
-            outs, state = run(cell, d, drop_all(states), range(u_max))
-            if li + 2 >= self.cfg.residual_start:
-                outs = [out + x for out, x in zip(outs, states)]
-            states = outs
-            finals.append((ad.narrow(state, 1, 0, d), ad.narrow(state, 1, d, d)))
+            out = cell.layer(ad.dropout(states, drop, training, rng),
+                             Tensor(np.zeros((b, 2 * d))), keep)
+            top = out[:, :, :d]
+            states = top + states if li + 2 >= self.cfg.residual_start else top
+            finals.append((out[-1, :, :d], out[-1, :, d:]))
         return states, finals
 
 
 class DecoderStack:
     """Unidirectional stack; `extra_in` widens the bottom layer's input
-    for a per-step latent slot.  Each layer's state is packed (h, c)."""
+    for a per-step latent slot.  Each layer's state is packed (h, c).
+    ``forward`` runs a teacher-forced sequence as one tape node per layer;
+    ``step`` runs one decoding step without a tape.  Both go through
+    ``autodiff.lstm_cell``, so they compute the same numbers."""
 
     def __init__(self, rng, cfg, params, extra_in=0):
         d = cfg.d
@@ -131,28 +133,56 @@ class DecoderStack:
     def init_states(self, enc_finals):
         return [ad.concat([h, c], axis=1) for h, c in enc_finals]
 
-    def step(self, x, states, training=False, rng=None):
-        """x [B, d_emb(+extra)] -> (h_top [B,d], new states)."""
+    def _residual(self, i):
+        return i > 0 and i + 1 >= self.cfg.residual_start
+
+    def forward(self, ids, states, step_in=None, training=False, rng=None):
+        """Teacher-forced ids [B,T] from init_states' states, with step_in
+        [B,k] appended to every input -> top states [T*B,d], time-major.
+
+        Dropout draws its masks as stepping would: per step, the
+        embedding's and then each upper layer input's."""
+        b, n_t = ids.shape
+        d, n = self.cfg.d, len(self.cells)
         drop = self.cfg.dropout if training else 0.0
-        new_states = []
-        inp = x
-        prev_out = None
+        x = ad.embedding(self.emb, ids.T)  # [T,B,d_emb]
+        if drop:
+            widths = [b * self.cfg.d_emb] + [b * d] * (n - 1)
+            masks = np.split(ad.dropout_mask(rng, (n_t, sum(widths)), drop),
+                             np.cumsum(widths)[:-1], axis=1)
+            masks = [m.reshape(n_t, b, -1) for m in masks]
+            x = ad.scale(x, masks[0])
+        if step_in is not None:
+            x = ad.concat([x, ad.broadcast_to(step_in, (n_t,) + step_in.shape)], axis=2)
+        prev = None
         for i, cell in enumerate(self.cells):
             if drop and i > 0:
-                inp = ad.dropout(inp, drop, training, rng)
-            state = cell.step(inp, states[i])
-            new_states.append(state)
-            out = ad.narrow(state, 1, 0, self.cfg.d)
-            if i + 1 >= self.cfg.residual_start and prev_out is not None:
-                out = out + prev_out
-            prev_out = out
-            inp = out
-        return prev_out, new_states
+                x = ad.scale(x, masks[i])
+            out = cell.layer(x, states[i])[:, :, :d]
+            if self._residual(i):
+                out = out + prev
+            prev = x = out
+        return ad.reshape(prev, (n_t * b, d))
 
-    def embed_step(self, ids, training=False, rng=None):
-        drop = self.cfg.dropout if training else 0.0
-        e = ad.embedding(self.emb, ids)
-        return ad.dropout(e, drop, training, rng) if drop else e
+    def step(self, x, states):
+        """One decoding step from parameter values, no tape and no
+        dropout: x [B, d_emb(+extra)] -> (h_top [B,d], new states)."""
+        d = self.cfg.d
+        new_states = []
+        inp = x.data
+        prev = None
+        for i, cell in enumerate(self.cells):
+            state = cell.step(inp, states[i].data)
+            new_states.append(Tensor(state))
+            out = state[:, :d]
+            if self._residual(i):
+                out = out + prev
+            prev = inp = out
+        return Tensor(prev), new_states
+
+    def embed_step(self, ids):
+        """Word ids [B] -> a decoding step's embeddings [B,d_emb]."""
+        return ad.embedding(self.emb, ids)
 
     def logits(self, h):
         return ad.matmul(h, self.V_T)

@@ -10,7 +10,7 @@ from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..errors import ConfigError
 from ..layers import MLP
-from .seq2seq import DecoderInputs, Seq2Seq
+from .seq2seq import DecoderInputs, Seq2Seq, SeqLogLik
 
 
 @dataclass
@@ -69,6 +69,18 @@ class GaussianHead:
         return DiagonalGaussian(self.mu(x), self.logvar(x))
 
 
+@dataclass
+class BoundTerms:
+    """One posterior draw's share of the bound: log p(y[,l] | nu, x), the
+    KL(q||p) rows [B], the decoder top states [T*B,d] of that decode and
+    the prior p."""
+
+    ll: SeqLogLik
+    kl_rows: Tensor
+    h_tops: Tensor
+    prior: DiagonalGaussian
+
+
 def eval_noise(rng, b, k):
     """Reparameterisation noise for evaluation: drawn from rng, or zero
     (the posterior mean) without one."""
@@ -113,20 +125,21 @@ class GaussianLatentSeq2Seq(Seq2Seq):
         return None
 
     def bound_terms(self, batch, enc, eps, training=False, rng=None):
-        """log p(y[,l] | nu, x) at nu = mu_q + sigma_q * eps, KL(q||p) per
-        row [B], and the decoder top states of that decode."""
+        """The bound's pieces at nu = mu_q + sigma_q * eps."""
         _, finals, u = enc
         q = self.posterior(batch)
         inputs = self.latent_inputs(reparam_sample(q, eps))
         h_tops = self.decoder_h_tops(batch, finals, inputs.step, training, rng)
-        kl_rows = kl_diag(q, self.prior(u, batch.size))
-        return self.seq_loglik(h_tops, batch, inputs), kl_rows, h_tops
+        prior = self.prior(u, batch.size)
+        return BoundTerms(self.seq_loglik(h_tops, batch, inputs), kl_diag(q, prior),
+                          h_tops, prior)
 
     def objective(self, batch, w=1.0, training=True, rng=None, eps=None):
         enc = self.encode(batch.prompt, batch.prompt_len, training=training, rng=rng)
         if eps is None:
             eps = rng.standard_normal((batch.size, self.cfg.k))
-        ll, kl_rows, _ = self.bound_terms(batch, enc, eps, training, rng)
+        bound = self.bound_terms(batch, enc, eps, training, rng)
+        ll, kl_rows = bound.ll, bound.kl_rows
         kl_sum = ad.tsum(kl_rows)
         neg_ll = -1.0 * ll.words_sum
         if ll.gate is not None:
@@ -146,17 +159,20 @@ class GaussianLatentSeq2Seq(Seq2Seq):
         }
         return obj, stats
 
-    def approx_nll(self, batch, enc=None, h_tops=None):
+    def approx_nll(self, batch, enc=None, bound=None):
         """-log p(y[,l] | nu-hat, x) at nu-hat = the prior mean, with no
-        sampling.  enc may carry this batch's encode, and h_tops a decode
-        of it; the decode is reused when the decoder takes no per-step
-        latent input, which leaves its states independent of nu."""
+        sampling.  enc may carry this batch's encode and bound its
+        BoundTerms: the prior is reused, and so are the decode and its
+        nu-free terms when the decoder takes no per-step latent input,
+        which leaves its states independent of nu."""
         if enc is None:
             enc = self.encode(batch.prompt, batch.prompt_len)
         _, finals, u = enc
-        inputs = self.latent_inputs(self.prior(u, batch.size).mu)
-        if h_tops is None or inputs.step is not None:
-            h_tops = self.decoder_h_tops(batch, finals, nu=inputs.step)
+        prior = bound.prior if bound is not None else self.prior(u, batch.size)
+        inputs = self.latent_inputs(prior.mu)
+        if bound is not None and inputs.step is None:
+            return -self.seq_loglik(bound.h_tops, batch, inputs, reuse=bound.ll).total()
+        h_tops = self.decoder_h_tops(batch, finals, nu=inputs.step)
         return -self.seq_loglik(h_tops, batch, inputs).total()
 
     @ad.no_grad()
@@ -165,12 +181,12 @@ class GaussianLatentSeq2Seq(Seq2Seq):
         one encode of the batch."""
         eps = eval_noise(rng, batch.size, self.cfg.k)
         enc = self.encode(batch.prompt, batch.prompt_len)
-        ll, kl_rows, h_tops = self.bound_terms(batch, enc, eps)
+        bound = self.bound_terms(batch, enc, eps)
         return {
-            "approx_nll": self.approx_nll(batch, enc, h_tops),
+            "approx_nll": self.approx_nll(batch, enc, bound),
             "tokens": batch.n_tokens,
-            "per_seq_neg_bound": -ll.per_seq(batch) + kl_rows.data,
-            "per_seq_kl": kl_rows.data,
+            "per_seq_neg_bound": -bound.ll.per_seq(batch) + bound.kl_rows.data,
+            "per_seq_kl": bound.kl_rows.data,
             "n_seqs": batch.size,
         }
 

@@ -53,7 +53,7 @@ class Seq2Seq(BaseModel):
     # ----- forward pieces ---------------------------------------------------
 
     def encode(self, prompt, prompt_len, training=False, rng=None):
-        """Returns (per-step top states, per-layer finals, prompt summary)."""
+        """Returns (top states [U,B,d], per-layer (h, c) finals, prompt summary)."""
         states, finals = self.encoder.forward(
             prompt, prompt_len, training=training, rng=rng
         )
@@ -64,23 +64,17 @@ class Seq2Seq(BaseModel):
         return DecoderInputs()
 
     def decoder_h_tops(self, batch, finals, nu=None, training=False, rng=None):
-        inputs = batch.decoder_inputs()
-        states = self.decoder.init_states(finals)
-        h_tops = []
-        for t in range(inputs.shape[1]):
-            x = self.decoder.embed_step(inputs[:, t], training=training, rng=rng)
-            if nu is not None:
-                x = ad.concat([x, nu], axis=1)
-            h, states = self.decoder.step(x, states, training=training, rng=rng)
-            h_tops.append(h)
-        return h_tops
+        """Teacher-forced decoder top states [T*B,d], time-major; nu [B,k]
+        is appended to every step's input."""
+        return self.decoder.forward(batch.decoder_inputs(), self.decoder.init_states(finals),
+                                    nu, training=training, rng=rng)
 
     def word_loglik(self, h_tops, batch, topic_add=None):
-        """Masked per-step log-likelihoods of the gold targets.
+        """Masked per-step log-likelihoods of the gold targets from the
+        [T*B,d] decoder top states.
 
         Returns (ll_flat [T*B] time-major, ll_sum scalar)."""
-        H = ad.concat(h_tops, axis=0)
-        logits = self.decoder.logits(H)
+        logits = self.decoder.logits(h_tops)
         if topic_add is not None:
             logits = logits + topic_add
         lp = ad.log_softmax(logits)
@@ -88,9 +82,10 @@ class Seq2Seq(BaseModel):
         ll = ad.pick(lp, tgt) * Tensor(mask)
         return ll, ad.tsum(ll)
 
-    def seq_loglik(self, h_tops, batch, inputs):
+    def seq_loglik(self, h_tops, batch, inputs, reuse=None):
         """log p(y | nu, x) from the decoder top states of a decode that
-        took inputs.step."""
+        took inputs.step.  reuse, a SeqLogLik of the same decode, may
+        supply the terms that do not depend on nu; words have none."""
         return SeqLogLik(*self.word_loglik(h_tops, batch))
 
     # ----- training / evaluation -------------------------------------------

@@ -29,36 +29,28 @@ def topic_proportion(nu, w1):
 
 def beta_regularizers(beta, lambda_ma, lambda_l2):
     """Mean squared cosine between topic columns plus squared Frobenius
-    norm; zero-norm columns are skipped in the angular part."""
-    gram = ad.matmul(ad.transpose(beta), beta)
-    k = gram.data.shape[0]
+    norm, one node; zero-norm columns are skipped in the angular part."""
+    b = beta.data
+    gram = b.T @ b
+    k = gram.shape[0]
     eye = np.eye(k)
-    diag = ad.sum_axis(gram * Tensor(eye), axis=1)  # [K] column norms^2
-    nz = (diag.data > 0.0).astype(np.float64)
+    diag = (gram * eye).sum(axis=1)  # [K] column norms^2
+    nz = (diag > 0.0).astype(np.float64)
     pair_mask = np.outer(nz, nz) * (1.0 - eye)
-    denom = diag_outer(diag) + Tensor(1.0 - pair_mask)  # masked slots stay safe
-    cos2 = gram * gram * recip(denom) * Tensor(pair_mask)
-    n_pairs = k * (k - 1) / 2
-    ma = (0.5 / max(n_pairs, 1)) * ad.tsum(cos2)
-    l2 = ad.tsum(beta * beta)
-    return lambda_ma * ma + lambda_l2 * l2
+    denom = diag[:, None] * diag + (1.0 - pair_mask)  # masked slots stay safe
+    inv = 1.0 / denom
+    cos2 = gram * gram * inv * pair_mask
+    w_ma = 0.5 / max(k * (k - 1) / 2, 1)
+    value = (w_ma * cos2.sum()) * lambda_ma + (b * b).sum() * lambda_l2
 
-
-def diag_outer(diag):
-    """outer(d, d) for a 1-D tensor via broadcast multiply."""
-    return reshape_col(diag) * diag
-
-
-def reshape_col(t):
-    """[K] -> [K,1] view as an autodiff node."""
     def vjp(g):
-        return [(t, g[:, 0])]
+        # d/dG of sum cos2 over ordered pairs, G symmetric: 2 G_ij / (n_i n_j)
+        # off the diagonal, -2 sum_j cos2_ij / n_i on it; dbeta = 2 beta dG
+        dgram = 2.0 * gram * inv * pair_mask
+        dgram[np.diag_indices(k)] = -2.0 * cos2.sum(axis=1) / np.where(nz > 0, diag, 1.0)
+        return [(beta, g * (2.0 * lambda_ma * w_ma * (b @ dgram) + 2.0 * lambda_l2 * b))]
 
-    return ad.Tensor(t.data[:, None], parents=(t,), vjp=vjp)
-
-
-def recip(t):
-    return ad.Tensor(1.0 / t.data, parents=(t,), vjp=lambda g: [(t, -g / (t.data * t.data))])
+    return Tensor(value, parents=(beta,), vjp=vjp)
 
 
 def top_words_per_topic(beta_data, vocab, k_words):
@@ -119,7 +111,7 @@ class TopicGatedSeq2Seq(GaussianLatentSeq2Seq):
     def fused_loglik(self, h_tops, batch, topic_part, gate_flat):
         """Word log-likelihood with the [B,L] topic term added to the
         logits; gate_flat is the observed [T*B] 0/1 label vector."""
-        tiled = ad.concat([topic_part] * len(h_tops), axis=0)
+        tiled = ad.concat([topic_part] * batch.response.shape[1], axis=0)
         topic_add = tiled * Tensor(gate_flat[:, None])
         return self.word_loglik(h_tops, batch, topic_add=topic_add)
 
@@ -129,19 +121,22 @@ class TopicGatedSeq2Seq(GaussianLatentSeq2Seq):
 
     def gate_loglik(self, h_tops, batch):
         _, mask, gate = flat_targets(batch)
-        z = self.gate_logits(ad.concat(h_tops, axis=0))
+        z = self.gate_logits(h_tops)
         ll = (
             Tensor(gate) * ad.log_sigmoid(z)
             + Tensor(1.0 - gate) * ad.log_sigmoid(-1.0 * z)
         ) * Tensor(mask)
         return ll, ad.tsum(ll)
 
-    def seq_loglik(self, h_tops, batch, inputs):
+    def seq_loglik(self, h_tops, batch, inputs, reuse=None):
         """Words with the topic term added where the observed gate label
-        is on, and the gate labels themselves."""
+        is on, and the gate labels themselves.  The gate term does not
+        depend on nu: reuse, a SeqLogLik of the same decode, supplies it."""
         _, _, gate = flat_targets(batch)
         words, words_sum = self.fused_loglik(h_tops, batch, inputs.topic, gate)
-        return SeqLogLik(words, words_sum, *self.gate_loglik(h_tops, batch))
+        if reuse is None:
+            return SeqLogLik(words, words_sum, *self.gate_loglik(h_tops, batch))
+        return SeqLogLik(words, words_sum, reuse.gate, reuse.gate_sum)
 
     def regularizer(self):
         return beta_regularizers(
@@ -153,8 +148,7 @@ class TopicGatedSeq2Seq(GaussianLatentSeq2Seq):
         """sigmoid(W2^T h_t) at reference positions -> ([T*B] probs,
         emitted token ids, validity mask)."""
         _, finals, _ = self.encode(batch.prompt, batch.prompt_len)
-        h_tops = self.decoder_h_tops(batch, finals)
-        z = self.gate_logits(ad.concat(h_tops, axis=0))
+        z = self.gate_logits(self.decoder_h_tops(batch, finals))
         probs = sigmoid(z.data)
         tgt, mask, _ = flat_targets(batch)
         return probs, tgt, mask

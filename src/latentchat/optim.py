@@ -12,6 +12,11 @@ class Adam:
 
     ``halve_every`` (if set) halves the base rate every that many steps,
     the fixed annealing schedule used by the training loop.
+
+    A step consumes the gradients: it drops each ``.grad`` buffer once
+    read (the next backward allocates it again), so a model between steps
+    or after training holds no stale gradients.  A parameter that no
+    backward reached since the last step counts as a zero gradient.
     """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -38,9 +43,10 @@ class Adam:
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
-            g = p.grad
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.all(np.isfinite(g)):
                 raise TrainingError(f"non-finite gradient for parameter '{name}'")
+            p.grad = None
             m = self.m[name]
             v = self.v[name]
             m *= b1
@@ -67,7 +73,9 @@ def grad_check(f, params, h=1e-5):
         p.zero_grad()
     loss = f()
     loss.backward()
-    analytic = {k: p.grad.copy() for k, p in params.items()}
+    # a parameter the backward did not reach may hold no buffer (Adam.step)
+    analytic = {k: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                for k, p in params.items()}
 
     worst = 0.0
     with no_grad():

@@ -113,18 +113,18 @@ def test_criterion_01_gradient_correctness():
     w = Tensor(rng.standard_normal((2, 5)))
     worst_prim = max(worst_prim, grad_check(
         lambda: ad.tsum(ad.softmax(x) * w), {"x": x}, h=1e-6))
-    step_in = {
-        "x": Tensor(rng.standard_normal((3, 4)), requires_grad=True),
-        "state": Tensor(0.5 * rng.standard_normal((3, 6)), requires_grad=True),
+    layer_in = {
+        "xs": Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True),
+        "state0": Tensor(0.5 * rng.standard_normal((3, 6)), requires_grad=True),
         "Wx": Tensor(0.5 * rng.standard_normal((4, 12)), requires_grad=True),
         "Wh": Tensor(0.5 * rng.standard_normal((3, 12)), requires_grad=True),
         "gain": Tensor(np.ones(12), requires_grad=True),
         "bias": Tensor(np.zeros(12), requires_grad=True),
     }
-    ws = Tensor(rng.standard_normal((3, 6)))
-    keep = np.array([True, False, True])
+    ws = Tensor(rng.standard_normal((2, 3, 6)))
+    keep = np.array([[True, False, True], [True, True, False]])
     worst_prim = max(worst_prim, grad_check(
-        lambda: ad.tsum(ad.lstm_step(**step_in, keep=keep) * ws), step_in, h=1e-6))
+        lambda: ad.tsum(ad.lstm_layer(**layer_in, keep=keep) * ws), layer_in, h=1e-6))
 
     wall = time.monotonic() - t0
     ok = worst_model < 1e-3 and worst_prim < 1e-5 and wall < 60.0
@@ -266,11 +266,11 @@ def test_criterion_03_never_emitted_rows():
     # numpy reference from the forward pieces
     _, finals, _ = model.encode(batch.prompt, batch.prompt_len)
     h_tops = model.decoder_h_tops(batch, finals)
-    logits = model.decoder.logits(ad.concat(h_tops, axis=0)).data  # [T*B,L]
+    logits = model.decoder.logits(h_tops).data  # [T*B,L]
     theta = topic_proportion(reparam_sample(model.posterior(batch), eps),
                              model.w1).data  # [B,K]
     tgt, mask, gate = flat_targets(batch)
-    theta_flat = np.tile(theta, (len(h_tops), 1))  # time-major, like tgt
+    theta_flat = np.tile(theta, (batch.response.shape[1], 1))  # time-major, like tgt
     beta = model.params["beta"].data.copy()
     beta[:N_RESERVED] = 0.0
     fused = logits + gate[:, None] * (theta_flat @ beta.T)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,17 +102,18 @@ def test_softmax_simplex_property(xs):
 
 
 # ---------------------------------------------------------------------------
-# LN-LSTM step
+# LN-LSTM layer
 
-B, D_IN, D = 3, 4, 3
-MIXED_KEEP = np.array([True, False, True])
+T, B, D_IN, D = 3, 3, 4, 3
+# row 0 runs every step, row 1 starts one step late, row 2 is never kept
+MIXED_KEEP = np.array([[True, False, False], [True, True, False], [True, True, False]])
 
 
-def lstm_step_inputs(seed):
+def lstm_layer_inputs(seed, b=B):
     rng = np.random.default_rng(seed)
     return (
-        param(rng.standard_normal((B, D_IN))),
-        param(0.5 * rng.standard_normal((B, 2 * D))),
+        param(rng.standard_normal((T, b, D_IN))),
+        param(0.5 * rng.standard_normal((b, 2 * D))),
         param(0.5 * rng.standard_normal((D_IN, 4 * D))),
         param(0.5 * rng.standard_normal((D, 4 * D))),
         param(1.0 + 0.1 * rng.standard_normal(4 * D)),
@@ -118,19 +121,24 @@ def lstm_step_inputs(seed):
     )
 
 
-def test_lstm_step_gradient():
-    args = lstm_step_inputs(3)
-    w = Tensor(np.random.default_rng(4).standard_normal((B, 2 * D)))
+LAYER_CASES = [(B, MIXED_KEEP), (1, None), (1, np.array([[False], [True], [True]]))]
 
-    def f():
-        return ad.tsum(ad.lstm_step(*args, keep=MIXED_KEEP) * w)
 
-    names = ("x", "state", "Wx", "Wh", "gain", "bias")
-    assert grad_check(f, dict(zip(names, args))) < 1e-5
+def test_lstm_layer_gradient():
+    names = ("xs", "state0", "Wx", "Wh", "gain", "bias")
+    for reverse in (False, True):
+        for b, keep in LAYER_CASES:
+            args = lstm_layer_inputs(3, b)
+            w = Tensor(np.random.default_rng(4).standard_normal((T, b, 2 * D)))
+
+            def f():
+                return ad.tsum(ad.lstm_layer(*args, keep=keep, reverse=reverse) * w)
+
+            assert grad_check(f, dict(zip(names, args))) < 1e-5, (reverse, b, keep)
 
 
 def test_lstm_gates_gradient():
-    # the gate kernels lstm_step is built from, as a tape node of their own
+    # the gate kernels lstm_layer is built from, as a tape node of their own
     rng = np.random.default_rng(3)
     pre = param(0.3 * rng.standard_normal((2, 12)))
     c_prev = param(0.3 * rng.standard_normal((2, 3)))
@@ -149,13 +157,13 @@ def test_lstm_gates_gradient():
 
     def f():
         hc = gates(pre, c_prev)
-        return ad.tsum(ad.narrow(hc, 1, 0, 3) * w1) + ad.tsum(ad.narrow(hc, 1, 3, 3) * w2)
+        return ad.tsum(hc[:, :3] * w1) + ad.tsum(hc[:, 3:] * w2)
 
     assert grad_check(f, {"pre": pre, "c_prev": c_prev}) < 1e-5
 
 
 def test_layer_norm_gradient():
-    # the layer-norm kernels lstm_step is built from, as a tape node of their own
+    # the layer-norm kernels lstm_layer is built from, as a tape node of their own
     rng = np.random.default_rng(4)
     x = param(rng.standard_normal((3, 6)))
     gain = param(1.0 + 0.1 * rng.standard_normal(6))
@@ -177,43 +185,54 @@ def test_layer_norm_gradient():
     assert grad_check(f, {"x": x, "gain": gain, "bias": bias}) < 1e-5
 
 
-def test_lstm_step_matches_numpy_reference():
-    x, state, Wx, Wh, gain, bias = lstm_step_inputs(5)
-    h0, c0 = state.data[:, :D], state.data[:, D:]
-    pre = x.data @ Wx.data + h0 @ Wh.data
-    blocks = [
-        K.layer_norm_fwd(pre[:, lo : lo + D], gain.data[lo : lo + D],
-                         bias.data[lo : lo + D], ad.LN_EPS)[0]
-        for lo in range(0, 4 * D, D)
-    ]
-    h, c, *_ = K.lstm_gates_fwd(np.concatenate(blocks, axis=1), c0)
-    want = np.where(MIXED_KEEP[:, None], np.concatenate([h, c], axis=1), state.data)
-    out = ad.lstm_step(x, state, Wx, Wh, gain, bias, keep=MIXED_KEEP)
-    assert np.array_equal(out.data, want)
+def test_lstm_layer_matches_numpy_reference():
+    for reverse, (b, keep) in itertools.product((False, True), LAYER_CASES):
+        xs, state0, Wx, Wh, gain, bias = lstm_layer_inputs(5, b)
+        want = np.empty((T, b, 2 * D))
+        state = state0.data
+        for t in (range(T - 1, -1, -1) if reverse else range(T)):
+            pre = xs.data[t] @ Wx.data + state[:, :D] @ Wh.data
+            blocks = [
+                K.layer_norm_fwd(pre[:, lo : lo + D], gain.data[lo : lo + D],
+                                 bias.data[lo : lo + D], ad.LN_EPS)[0]
+                for lo in range(0, 4 * D, D)
+            ]
+            h, c, *_ = K.lstm_gates_fwd(np.concatenate(blocks, axis=1), state[:, D:])
+            new = np.concatenate([h, c], axis=1)
+            state = want[t] = new if keep is None else np.where(keep[t][:, None], new, state)
+        out = ad.lstm_layer(xs, state0, Wx, Wh, gain, bias, keep=keep, reverse=reverse)
+        assert np.array_equal(out.data, want), (reverse, b, keep)
 
 
-def test_lstm_step_keep_false_rows_carry_state_bitwise():
-    args = lstm_step_inputs(6)
-    x, state = args[:2]
-    keep = np.array([False, True, False])
-    out = ad.lstm_step(*args, keep=keep)
-    assert np.array_equal(out.data[~keep], state.data[~keep])
-    assert not np.array_equal(out.data[keep], state.data[keep])
-    w = np.random.default_rng(7).standard_normal((B, 2 * D))
-    ad.tsum(out * Tensor(w)).backward()
-    # a carried row passes its gradient straight to the old state
-    assert np.array_equal(state.grad[~keep], w[~keep])
-    assert not x.grad[~keep].any()
+def test_lstm_layer_keep_false_rows_carry_state_bitwise():
+    for reverse in (False, True):
+        args = lstm_layer_inputs(6)
+        xs, state0 = args[:2]
+        out = ad.lstm_layer(*args, keep=MIXED_KEEP, reverse=reverse)
+        # row 2 is never kept; row 1 is not kept at t = 0, which the
+        # reverse direction runs last
+        assert all(np.array_equal(out.data[t, 2], state0.data[2]) for t in range(T))
+        if not reverse:
+            assert np.array_equal(out.data[0, 1], state0.data[1])
+        assert not np.array_equal(out.data[1, 1], state0.data[1])
+        w = np.random.default_rng(7).standard_normal((T, B, 2 * D))
+        ad.tsum(out * Tensor(w)).backward()
+        # a carried row passes its gradient straight to the start state
+        assert np.allclose(state0.grad[2], w[:, 2].sum(axis=0), rtol=0.0, atol=1e-14)
+        assert not xs.grad[:, 2].any() and not xs.grad[0, 1].any()
+        assert xs.grad[:, 0].all()
 
 
-def test_lstm_step_shape_error():
-    x, state, Wx, Wh, gain, bias = lstm_step_inputs(8)
-    with pytest.raises(ShapeError, match="lstm_step"):
-        ad.lstm_step(x, Tensor(np.zeros((B, 2 * D + 1))), Wx, Wh, gain, bias)
-    with pytest.raises(ShapeError):
-        ad.lstm_step(x, state, Wh, Wh, gain, bias)
-    with pytest.raises(ShapeError):
-        ad.lstm_step(x, state, Wx, Wh, gain, bias, keep=np.ones(B + 1, dtype=bool))
+def test_lstm_layer_shape_error():
+    xs, state0, Wx, Wh, gain, bias = lstm_layer_inputs(8)
+    with pytest.raises(ShapeError, match="lstm_layer"):
+        ad.lstm_layer(xs, Tensor(np.zeros((B, 2 * D + 1))), Wx, Wh, gain, bias)
+    with pytest.raises(ShapeError, match="lstm_layer"):
+        ad.lstm_layer(xs, state0, Wh, Wh, gain, bias)
+    with pytest.raises(ShapeError, match="lstm_layer"):
+        ad.lstm_layer(xs, state0, Wx, Wh, gain, bias, keep=np.ones((T, B + 1), dtype=bool))
+    with pytest.raises(ShapeError, match="lstm_layer"):
+        ad.lstm_layer(xs[0], state0, Wx, Wh, gain, bias)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +272,8 @@ def test_embedding_pick_narrow_concat_gradients():
 
     def f():
         e = ad.embedding(table, ids)
-        left = ad.narrow(e, 1, 0, 2)
-        right = ad.narrow(e, 1, 2, 2)
+        left = e[:, 0:2]
+        right = e[:, 2:4]
         back = ad.concat([left, right], axis=1)
         return ad.tsum(ad.tanh(back)) + ad.tsum(ad.pick(e, np.array([1, 3, 0, 2])))
 
@@ -310,8 +329,8 @@ def test_no_grad_builds_parentless_tensors():
     w = param([[0.3], [-0.7]])
     taped = ad.tsum(ad.tanh(ad.matmul(x, w)))
     with ad.no_grad():
-        outs = [ad.matmul(x, w), x * x, ad.softmax(x), ad.narrow(x, 1, 0, 1),
-                ad.lstm_step(*lstm_step_inputs(9))]
+        outs = [ad.matmul(x, w), x * x, ad.softmax(x), x[:, 0:1],
+                ad.lstm_layer(*lstm_layer_inputs(9), keep=MIXED_KEEP)]
         bare = ad.tsum(ad.tanh(ad.matmul(x, w)))
     for t in outs + [bare]:
         assert t._parents == () and t._vjp is None

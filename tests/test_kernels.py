@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentchat import kernels
 from latentchat.autodiff import LN_EPS
@@ -44,6 +46,29 @@ def test_layer_norm_constant_row():
 def test_layer_norm_symmetry():
     y, *_ = kernels.layer_norm_fwd(np.array([[1.0, 3.0]]), np.ones(2), np.zeros(2), LN_EPS)
     assert np.allclose(y, [[-1.0, 1.0]], atol=1e-4)
+
+
+@given(
+    shape=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+    n=st.integers(1, 70),
+    log_scale=st.floats(-6.0, 6.0),
+    offset=st.floats(-1e3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_layer_norm_fwd_bitwise_equals_mean_var_formula(shape, n, log_scale, offset, seed):
+    rng = np.random.default_rng(seed)
+    x = offset + 10.0**log_scale * rng.standard_normal(tuple(shape) + (n,))
+    gain = 1.0 + 0.1 * rng.standard_normal(n)
+    bias = 0.1 * rng.standard_normal(n)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = (x - mu) * inv_std
+    y, got_xhat, got_inv_std = kernels.layer_norm_fwd(x, gain, bias, LN_EPS)
+    assert np.array_equal(got_inv_std, inv_std)
+    assert np.array_equal(got_xhat, xhat)
+    assert np.array_equal(y, xhat * gain + bias)
 
 
 def test_sigmoid_stability():

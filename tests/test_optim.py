@@ -4,7 +4,7 @@ import pytest
 from latentchat import autodiff as ad
 from latentchat.autodiff import Tensor
 from latentchat.errors import TrainingError
-from latentchat.optim import Adam
+from latentchat.optim import Adam, grad_check
 
 
 def param(data):
@@ -52,3 +52,21 @@ def test_nonfinite_gradient_rejected_by_name():
     p.grad[...] = np.nan
     with pytest.raises(TrainingError, match="'p'"):
         Adam({"p": p}).step()
+
+
+def test_step_drops_consumed_gradients():
+    # a finished step holds no gradient buffers; the next backward makes
+    # new ones, and a parameter no backward reached moves as with g = 0
+    p, q = param([1.0, -2.0]), param([3.0])
+    opt = Adam({"p": p, "q": q}, lr=0.1)
+    ad.tsum(p * p).backward()
+    opt.step()
+    assert p.grad is None and q.grad is None
+    q_after_one = q.data.copy()
+    opt.zero_grad()
+    ad.tsum(p * p).backward()
+    assert p.grad.tolist() == (2.0 * p.data).tolist() and q.grad is None
+    opt.step()
+    assert np.array_equal(q.data, q_after_one)
+    # grad_check reads an unreached, dropped buffer as a zero gradient
+    assert grad_check(lambda: ad.tsum(p * p), {"p": p, "q": q}) < 1e-6

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_model, tiny_batch, tiny_cfg, tiny_pairs, tiny_vocab
+from latentchat import autodiff as ad
+from latentchat.autodiff import Tensor
 from latentchat.optim import grad_check
 from latentchat.text import assemble_batch
 
@@ -101,3 +103,58 @@ def test_mask_carry_ignores_padded_prompt_steps():
     _, finals_b, _ = model.encode(wide, batch1.prompt_len)
     for (ha, _), (hb, _) in zip(finals_a, finals_b):
         assert np.allclose(ha.data, hb.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["s2s", "lvs2s", "ltcm"])
+def test_decoder_h_tops_matches_decoder_steps(kind):
+    # the training entry point (one node per layer) and the decoding one
+    # (DecoderStack.step) compute the same states, bit for bit
+    model = make_model(tiny_cfg(kind, n_layers=3, residual_start=3))
+    vocab = tiny_vocab()
+    for n in (3, 1):
+        batch = tiny_batch(vocab, rng=np.random.default_rng(n), n=n, u=3, m=4)
+        _, finals, _ = model.encode(batch.prompt, batch.prompt_len)
+        nu = Tensor(np.random.default_rng(2).standard_normal((n, 2)))
+        step_in = model.latent_inputs(nu).step
+        h_tops = model.decoder_h_tops(batch, finals, nu=step_in)
+        states = model.decoder.init_states(finals)
+        ids = batch.decoder_inputs()
+        with ad.no_grad():
+            for t in range(ids.shape[1]):
+                x = model.decoder.embed_step(ids[:, t])
+                if step_in is not None:
+                    x = ad.concat([x, step_in], axis=1)
+                h, states = model.decoder.step(x, states)
+                assert np.array_equal(h.data, h_tops.data[t * n : (t + 1) * n]), (n, t)
+
+
+@pytest.mark.parametrize("kind", ["s2s", "lvs2s"])
+def test_decoder_forward_draws_dropout_as_stepping_would(kind):
+    # per step: the embedding's mask, then each upper layer input's mask,
+    # the order a step-by-step decoder draws them in
+    cfg = tiny_cfg(kind, n_layers=3, residual_start=3, dropout=0.3)
+    model = make_model(cfg)
+    batch = tiny_batch(tiny_vocab(), n=3, u=3, m=4)
+    _, finals, _ = model.encode(batch.prompt, batch.prompt_len)
+    nu = model.latent_inputs(Tensor(np.random.default_rng(2).standard_normal((3, 2)))).step
+    h_tops = model.decoder_h_tops(batch, finals, nu=nu, training=True,
+                                  rng=np.random.default_rng(7))
+
+    rng, keep = np.random.default_rng(7), 1.0 - cfg.dropout
+    dec = model.decoder
+    states = [s.data for s in dec.init_states(finals)]
+    ids = batch.decoder_inputs()
+    for t in range(ids.shape[1]):
+        x = dec.emb.data[ids[:, t]] * ((rng.random((3, cfg.d_emb)) >= cfg.dropout) / keep)
+        if nu is not None:
+            x = np.concatenate([x, nu.data], axis=1)
+        prev = None
+        for i, cell in enumerate(dec.cells):
+            if i > 0:
+                x = x * ((rng.random((3, cfg.d)) >= cfg.dropout) / keep)
+            states[i] = cell.step(x, states[i])
+            out = states[i][:, : cfg.d]
+            if i + 1 >= cfg.residual_start:
+                out = out + prev
+            prev = x = out
+        assert np.array_equal(prev, h_tops.data[3 * t : 3 * (t + 1)]), t

@@ -190,6 +190,38 @@ def test_regularizer_gradient():
     assert grad_check(f, {"beta": beta}) < 1e-6
 
 
+def _beta_regularizers_composed(beta, lambda_ma, lambda_l2):
+    """The regularisers as the composition of fine autodiff nodes that
+    the one-node version replaced."""
+    gram = ad.matmul(ad.transpose(beta), beta)
+    k = gram.data.shape[0]
+    eye = np.eye(k)
+    diag = ad.sum_axis(gram * Tensor(eye), axis=1)
+    nz = (diag.data > 0.0).astype(np.float64)
+    pair_mask = np.outer(nz, nz) * (1.0 - eye)
+    denom = ad.reshape(diag, (k, 1)) * diag + Tensor(1.0 - pair_mask)
+    recip = Tensor(1.0 / denom.data, parents=(denom,),
+                   vjp=lambda g: [(denom, -g / (denom.data * denom.data))])
+    cos2 = gram * gram * recip * Tensor(pair_mask)
+    ma = (0.5 / max(k * (k - 1) / 2, 1)) * ad.tsum(cos2)
+    return lambda_ma * ma + lambda_l2 * ad.tsum(beta * beta)
+
+
+def test_regularizer_node_with_zero_column():
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((6, 4))
+    data[:, 2] = 0.0  # a zero-norm column, skipped in the angular part
+    beta = Tensor(data, requires_grad=True)
+    pen = beta_regularizers(beta, 0.7, 0.3)
+    assert len(pen._parents) == 1  # one node
+    want = _beta_regularizers_composed(Tensor(data), 0.7, 0.3)
+    assert abs(float(pen.data) - float(want.data)) <= 1e-12
+    assert grad_check(lambda: beta_regularizers(beta, 0.7, 0.3), {"beta": beta}) < 1e-5
+    ref = Tensor(data.copy(), requires_grad=True)
+    _beta_regularizers_composed(ref, 0.7, 0.3).backward()
+    assert np.allclose(beta.grad, ref.grad, rtol=0.0, atol=1e-12)
+
+
 def test_top_words_one_hot_and_ties():
     vocab = tiny_vocab(8)
     beta = np.zeros((8, 2))
@@ -260,7 +292,9 @@ def test_eval_sums_decodes_once_for_ltcm_and_matches_both_passes(kind, decodes):
     batch = tiny_batch(tiny_vocab(), stopwords={"w0", "w1", "w2", "w3"}, n=3)
     on = batch.gate_labels[batch.mask > 0]
     assert 0 < on.sum() < on.size  # mixed gates
-    calls = {"encode": 0, "decoder_h_tops": 0}
+    calls = {"encode": 0, "decoder_h_tops": 0, "prior": 0}
+    if kind == "ltcm":
+        calls["gate_loglik"] = 0
 
     def counting(name):
         real = getattr(model, name)
@@ -273,9 +307,11 @@ def test_eval_sums_decodes_once_for_ltcm_and_matches_both_passes(kind, decodes):
     for name in calls:
         setattr(model, name, counting(name))
     sums = model.eval_sums(batch, rng=np.random.default_rng(4))
-    # one encode serves the bound and the approximate NLL; the ltcm decoder
-    # takes no latent input, so one decode serves both as well
-    assert calls == {"encode": 1, "decoder_h_tops": decodes}
+    # one encode and one prior serve the bound and the approximate NLL; the
+    # ltcm decoder takes no latent input, so one decode and its nu-free
+    # gate term serve both as well
+    assert calls == {"encode": 1, "decoder_h_tops": decodes, "prior": 1,
+                     **({"gate_loglik": 1} if kind == "ltcm" else {})}
     for name in calls:
         delattr(model, name)
 
