@@ -107,21 +107,15 @@ def cmd_train(args):
     raw = load_corpus(cfg.corpus)
     out_dir = cfg.checkpoint_dir
     os.makedirs(out_dir, exist_ok=True)
-    vocab_path = os.path.join(out_dir, "vocab.txt")
-    stop_path = os.path.join(out_dir, "stopwords.txt")
-    if args.resume and os.path.exists(vocab_path):
-        vocab = Vocabulary.load(vocab_path)
-        with open(stop_path, encoding="utf-8") as fh:
-            stopwords = {line.strip() for line in fh if line.strip()}
+    if args.resume:
+        vocab, stopwords = _read_vocabulary(args.resume, ckpt.read_header(args.resume))
     else:
         vocab = build_vocab(raw, cfg.vocab_size, max_len=cfg.max_len)
-        stopwords = select_stopwords(
-            vocab, cfg.stopword_n, direction=cfg.stopword_direction
-        )
-        vocab.save(vocab_path)
-        with open(stop_path, "w", encoding="utf-8") as fh:
-            for wtok in sorted(stopwords):
-                fh.write(wtok + "\n")
+        stopwords = select_stopwords(vocab, cfg.stopword_n, direction=cfg.stopword_direction)
+    # the checkpoints written to out_dir name these two files
+    vocab.save(os.path.join(out_dir, "vocab.txt"))
+    with open(os.path.join(out_dir, "stopwords.txt"), "w", encoding="utf-8") as fh:
+        fh.writelines(w + "\n" for w in sorted(stopwords))
     if len(vocab) != cfg.vocab_size:
         # corpus has fewer types than requested; logits must match the vocab
         cfg = RunConfig.from_dict({**cfg.to_dict(), "vocab_size": len(vocab)})
@@ -135,19 +129,18 @@ def cmd_train(args):
     return 0
 
 
-def _load_bundle(checkpoint_path):
-    header = ckpt.read_header(checkpoint_path)
-    cfg = ckpt.config_from_header(header, checkpoint_path)
-    model = build_model(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 3])))
-    ckpt.load(checkpoint_path, model)
+def _read_vocabulary(checkpoint_path, header):
+    """The vocabulary and stop-words beside a checkpoint, as its header
+    names them, checked against the vocabulary size it was trained on."""
+    vocab_size = ckpt.config_from_header(header, checkpoint_path).vocab_size
     base = os.path.dirname(os.path.abspath(checkpoint_path))
     extra = header.get("extra") or {}
     vocab_path = os.path.join(base, extra.get("vocab_file", "vocab.txt"))
     vocab = Vocabulary.load(vocab_path)
-    if len(vocab) != cfg.vocab_size:
+    if len(vocab) != vocab_size:
         raise CheckpointError(
             f"{vocab_path}: {len(vocab)} tokens, but {checkpoint_path} "
-            f"was trained on {cfg.vocab_size}")
+            f"was trained on {vocab_size}")
     stop_path = os.path.join(base, extra.get("stopword_file", "stopwords.txt"))
     with open(stop_path, encoding="utf-8") as fh:
         stopwords = {line.strip() for line in fh if line.strip()}
@@ -155,6 +148,15 @@ def _load_bundle(checkpoint_path):
     if unknown:
         raise CheckpointError(
             f"{stop_path}: stop-words not in {vocab_path}: {' '.join(unknown[:5])}")
+    return vocab, stopwords
+
+
+def _load_bundle(checkpoint_path):
+    header = ckpt.read_header(checkpoint_path)
+    cfg = ckpt.config_from_header(header, checkpoint_path)
+    model = build_model(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 3])))
+    ckpt.load(checkpoint_path, model)
+    vocab, stopwords = _read_vocabulary(checkpoint_path, header)
     return model, vocab, stopwords, cfg
 
 

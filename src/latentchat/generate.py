@@ -86,7 +86,7 @@ def generate(model, vocab, prompt_pairs, strategy=GREEDY, temperature=1.0,
     samples = [
         GenerationSample(prompt_texts[i], [], [], latent, seed) for i in range(b)
     ]
-    _, finals, u = model.encode(prompt, prompt_len)
+    finals, u = model.encode(prompt, prompt_len)
     prior = model.prior(u, b) if latent == "conditional" else None
     for ri in range(n):
         rngs = [_stream_rng(seed, pi, ri) for pi in range(b)]
@@ -101,7 +101,7 @@ def generate(model, vocab, prompt_pairs, strategy=GREEDY, temperature=1.0,
     return samples
 
 
-def _decode_round(model, finals, prior, rngs, strategy, temperature,
+def _decode_round(model, states, prior, rngs, strategy, temperature,
                   latent, max_len, gate_mode):
     """One response per stream from one encode; prior is the conditional
     prior of the prompts, or None to draw nu from N(0, I)."""
@@ -115,7 +115,6 @@ def _decode_round(model, finals, prior, rngs, strategy, temperature,
     inputs = model.latent_inputs(nu)
     gated = inputs.topic is not None
 
-    states = model.decoder.init_states(finals)
     prev = np.ones(b, dtype=np.int64)  # <s>
     finished = np.zeros(b, dtype=bool)
     lengths = np.zeros(b, dtype=np.int64)

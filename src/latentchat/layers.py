@@ -1,7 +1,8 @@
 """Neural building blocks on top of the autodiff core: LN-LSTM cells,
 the bidirectional-bottom encoder stack, the decoder stack, and MLPs.
 A layer (one direction of it, in the encoder's bottom layer) over a whole
-sequence is one ``autodiff.lstm_layer`` node on packed (h, c) states."""
+sequence is one ``autodiff.lstm_layer`` node on packed (h, c) states; each
+decoder layer starts from the encoder layer's packed final state."""
 
 import numpy as np
 
@@ -83,9 +84,10 @@ class EncoderStack:
         ]
 
     def forward(self, prompt, prompt_len, training=False, rng=None):
-        """prompt [B,U] int ids -> (top states [U,B,d], (h, c) finals per
-        layer).  Steps past a row's prompt length carry its state over.
-        Each layer input draws one dropout mask over all its steps."""
+        """prompt [B,U] int ids -> (packed [B,2d] final state per layer,
+        prompt summary [B,d]: the top layer's final h).  Steps past a row's
+        prompt length carry its state over.  Each layer input draws one
+        dropout mask over all its steps."""
         b, u_max = prompt.shape
         d, half = self.cfg.d, self.cfg.d // 2
         drop = self.cfg.dropout if training else 0.0
@@ -95,19 +97,21 @@ class EncoderStack:
         embs = ad.dropout(ad.embedding(self.emb, prompt.T), drop, training, rng)
         fw = self.fwd.layer(embs, zeros, keep)
         bw = self.bwd.layer(embs, zeros, keep, reverse=True)
-        states = ad.concat([fw[:, :, :half], bw[:, :, :half]], axis=2)
         # a direction's final state is the one after its last step
-        finals = [tuple(
-            ad.concat([fw[-1, :, lo : lo + half], bw[0, :, lo : lo + half]], axis=1)
-            for lo in (0, half)
-        )]
+        h, c = (ad.concat([fw[-1, :, lo : lo + half], bw[0, :, lo : lo + half]], axis=1)
+                for lo in (0, half))
+        finals = [ad.concat([h, c], axis=1)]
+        if self.upper:
+            states = ad.concat([fw[:, :, :half], bw[:, :, :half]], axis=2)
         for li, cell in enumerate(self.upper):
             out = cell.layer(ad.dropout(states, drop, training, rng),
                              Tensor(np.zeros((b, 2 * d))), keep)
-            top = out[:, :, :d]
-            states = top + states if li + 2 >= self.cfg.residual_start else top
-            finals.append((out[-1, :, :d], out[-1, :, d:]))
-        return states, finals
+            h, c = out[-1, :, :d], out[-1, :, d:]
+            finals.append(ad.concat([h, c], axis=1))
+            if li + 1 < len(self.upper):
+                top = out[:, :, :d]
+                states = top + states if li + 2 >= self.cfg.residual_start else top
+        return finals, h
 
 
 class DecoderStack:
@@ -130,15 +134,12 @@ class DecoderStack:
         self.V_T = init_uniform(rng, (d, cfg.vocab_size))
         params["dec.V_T"] = self.V_T
 
-    def init_states(self, enc_finals):
-        return [ad.concat([h, c], axis=1) for h, c in enc_finals]
-
     def _residual(self, i):
         return i > 0 and i + 1 >= self.cfg.residual_start
 
     def forward(self, ids, states, step_in=None, training=False, rng=None):
-        """Teacher-forced ids [B,T] from init_states' states, with step_in
-        [B,k] appended to every input -> top states [T*B,d], time-major.
+        """Teacher-forced ids [B,T] from the encoder's final states, with
+        step_in [B,k] appended to every input -> top states [T*B,d], time-major.
 
         Dropout draws its masks as stepping would: per step, the
         embedding's and then each upper layer input's."""

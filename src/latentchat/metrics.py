@@ -151,7 +151,7 @@ def gate_analysis(model, vocab, stopwords, pairs, batch_size=None):
     return table
 
 
-def write_report(report, out_dir, csv_name="models.csv"):
+def write_report(report, out_dir):
     """Flat key-value report file plus an appended cross-model CSV row."""
     os.makedirs(out_dir, exist_ok=True)
     d = report.as_dict()
@@ -159,7 +159,7 @@ def write_report(report, out_dir, csv_name="models.csv"):
     with open(txt, "w", encoding="utf-8") as fh:
         for k, v in d.items():
             fh.write(f"{k}: {v}\n")
-    csv_path = os.path.join(out_dir, csv_name)
+    csv_path = os.path.join(out_dir, "models.csv")
     new = not os.path.exists(csv_path)
     with open(csv_path, "a", newline="", encoding="utf-8") as fh:
         w = csv.DictWriter(fh, fieldnames=list(d))

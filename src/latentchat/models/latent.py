@@ -1,6 +1,8 @@
 """Diagonal-Gaussian machinery and the latent-variable encoder-decoder:
-reparameterised sampling, closed-form KL, prior/inference networks, and
-the linear KL annealing schedule."""
+reparameterised sampling, closed-form KL, prior/inference networks, the
+Gaussian families' bound pieces and approximate NLL, and the linear KL
+annealing schedule.  The objective and evaluation sums built from those
+pieces live on ``Seq2Seq``."""
 
 from dataclasses import dataclass
 
@@ -10,7 +12,7 @@ from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..errors import ConfigError
 from ..layers import MLP
-from .seq2seq import DecoderInputs, Seq2Seq, SeqLogLik
+from .seq2seq import BoundTerms, DecoderInputs, Seq2Seq
 
 
 @dataclass
@@ -69,34 +71,18 @@ class GaussianHead:
         return DiagonalGaussian(self.mu(x), self.logvar(x))
 
 
-@dataclass
-class BoundTerms:
-    """One posterior draw's share of the bound: log p(y[,l] | nu, x), the
-    KL(q||p) rows [B], the decoder top states [T*B,d] of that decode and
-    the prior p."""
-
-    ll: SeqLogLik
-    kl_rows: Tensor
-    h_tops: Tensor
-    prior: DiagonalGaussian
-
-
-def eval_noise(rng, b, k):
-    """Reparameterisation noise for evaluation: drawn from rng, or zero
-    (the posterior mean) without one."""
+def latent_noise(rng, b, k):
+    """Reparameterisation noise [b,k]: drawn from rng, or zero (the
+    posterior mean) without one."""
     return rng.standard_normal((b, k)) if rng is not None else np.zeros((b, k))
 
 
 class GaussianLatentSeq2Seq(Seq2Seq):
     """Encoder-decoder with a sentence-level diagonal Gaussian latent nu:
     the prior (standard, or conditioned on the prompt summary), the
-    bag-of-words inference net, and the objective, approximate NLL and
-    evaluation sums shared by every family built on it.
-
-    A family says how nu reaches the decoder through the three pieces its
-    likelihood is built from: ``encode`` (the prompt, once per batch),
-    ``latent_inputs(nu)`` (what the decoder receives) and ``seq_loglik``
-    (log p(y[,l] | nu, x), words and gate apart)."""
+    bag-of-words inference net, and the bound's pieces and approximate NLL
+    of every family built on it.  A family says how nu reaches the decoder
+    through ``latent_inputs(nu)`` and ``seq_loglik``."""
 
     def _build_latent_heads(self, rng):
         """Prior and inference nets.  Called after the subclass's own
@@ -120,13 +106,12 @@ class GaussianLatentSeq2Seq(Seq2Seq):
         bows = Tensor(np.concatenate([batch.bow_prompt, batch.bow_response], axis=1))
         return self.infer_net(bows)
 
-    def regularizer(self):
-        """Penalty on the family's own parameters added to the objective."""
-        return None
-
-    def bound_terms(self, batch, enc, eps, training=False, rng=None):
-        """The bound's pieces at nu = mu_q + sigma_q * eps."""
-        _, finals, u = enc
+    def bound_terms(self, batch, enc, eps=None, training=False, rng=None):
+        """The bound's pieces at nu = mu_q + sigma_q * eps; eps [B,k] is
+        drawn from rng when not given (zero without an rng)."""
+        if eps is None:
+            eps = latent_noise(rng, batch.size, self.cfg.k)
+        finals, u = enc
         q = self.posterior(batch)
         inputs = self.latent_inputs(reparam_sample(q, eps))
         h_tops = self.decoder_h_tops(batch, finals, inputs.step, training, rng)
@@ -134,61 +119,19 @@ class GaussianLatentSeq2Seq(Seq2Seq):
         return BoundTerms(self.seq_loglik(h_tops, batch, inputs), kl_diag(q, prior),
                           h_tops, prior)
 
-    def objective(self, batch, w=1.0, training=True, rng=None, eps=None):
-        enc = self.encode(batch.prompt, batch.prompt_len, training=training, rng=rng)
-        if eps is None:
-            eps = rng.standard_normal((batch.size, self.cfg.k))
-        bound = self.bound_terms(batch, enc, eps, training, rng)
-        ll, kl_rows = bound.ll, bound.kl_rows
-        kl_sum = ad.tsum(kl_rows)
-        neg_ll = -1.0 * ll.words_sum
-        if ll.gate is not None:
-            neg_ll = neg_ll - ll.gate_sum
-        obj = (1.0 / batch.size) * (neg_ll + w * kl_sum)
-        penalty = self.regularizer()
-        if penalty is not None:
-            obj = obj + penalty
-        stats = {
-            "nll": -float(ll.words_sum.data),
-            "recon": -float(ll.words_sum.data),
-            "kl": float(kl_sum.data),
-            "gate": 0.0 if ll.gate is None else -float(ll.gate_sum.data),
-            "tokens": batch.n_tokens,
-            "per_seq_neg_bound": -ll.per_seq(batch) + kl_rows.data,
-            "per_seq_kl": kl_rows.data.copy(),
-        }
-        return obj, stats
-
     def approx_nll(self, batch, enc=None, bound=None):
         """-log p(y[,l] | nu-hat, x) at nu-hat = the prior mean, with no
         sampling.  enc may carry this batch's encode and bound its
         BoundTerms: the prior is reused, and so are the decode and its
         nu-free terms when the decoder takes no per-step latent input,
         which leaves its states independent of nu."""
-        if enc is None:
-            enc = self.encode(batch.prompt, batch.prompt_len)
-        _, finals, u = enc
+        finals, u = enc or self.encode(batch.prompt, batch.prompt_len)
         prior = bound.prior if bound is not None else self.prior(u, batch.size)
         inputs = self.latent_inputs(prior.mu)
         if bound is not None and inputs.step is None:
             return -self.seq_loglik(bound.h_tops, batch, inputs, reuse=bound.ll).total()
         h_tops = self.decoder_h_tops(batch, finals, nu=inputs.step)
         return -self.seq_loglik(h_tops, batch, inputs).total()
-
-    @ad.no_grad()
-    def eval_sums(self, batch, rng=None):
-        """The bound at one posterior draw and the approximate NLL, from
-        one encode of the batch."""
-        eps = eval_noise(rng, batch.size, self.cfg.k)
-        enc = self.encode(batch.prompt, batch.prompt_len)
-        bound = self.bound_terms(batch, enc, eps)
-        return {
-            "approx_nll": self.approx_nll(batch, enc, bound),
-            "tokens": batch.n_tokens,
-            "per_seq_neg_bound": -bound.ll.per_seq(batch) + bound.kl_rows.data,
-            "per_seq_kl": bound.kl_rows.data,
-            "n_seqs": batch.size,
-        }
 
 
 class LatentSeq2Seq(GaussianLatentSeq2Seq):

@@ -1,10 +1,10 @@
-"""Baseline encoder-decoder conversational model with teacher-forced
-likelihood training, and the three pieces every decoder family builds
-its likelihood from: ``encode``, ``latent_inputs`` and ``seq_loglik``."""
+"""Baseline encoder-decoder conversational model, and the one objective
+and evaluation sums every decoder family shares.  A family builds
+log p(y[,l] | nu, x) from ``encode``, ``latent_inputs`` and
+``seq_loglik``, and supplies ``bound_terms`` and ``approx_nll``; without
+a latent, as here, the bound is the exact log-likelihood."""
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
@@ -42,6 +42,23 @@ class SeqLogLik:
         return s if self.gate is None else s + per_sequence(self.gate.data, batch)
 
 
+@dataclass
+class BoundTerms:
+    """One draw's share of the bound: log p(y[,l] | nu, x), the KL(q||p)
+    rows [B] (None without a latent), the decoder top states [T*B,d] of
+    that decode and the prior p."""
+
+    ll: SeqLogLik
+    kl_rows: Tensor = None
+    h_tops: Tensor = None
+    prior: object = None
+
+    def neg_bound(self, batch):
+        """Per-sequence negated bound [B]."""
+        neg = -self.ll.per_seq(batch)
+        return neg if self.kl_rows is None else neg + self.kl_rows.data
+
+
 class Seq2Seq(BaseModel):
     kind = "s2s"
 
@@ -53,21 +70,17 @@ class Seq2Seq(BaseModel):
     # ----- forward pieces ---------------------------------------------------
 
     def encode(self, prompt, prompt_len, training=False, rng=None):
-        """Returns (top states [U,B,d], per-layer (h, c) finals, prompt summary)."""
-        states, finals = self.encoder.forward(
-            prompt, prompt_len, training=training, rng=rng
-        )
-        return states, finals, finals[-1][0]
+        """Returns (packed [B,2d] final state per layer, prompt summary [B,d])."""
+        return self.encoder.forward(prompt, prompt_len, training=training, rng=rng)
 
     def latent_inputs(self, nu=None):
         """No latent reaches this decoder."""
         return DecoderInputs()
 
     def decoder_h_tops(self, batch, finals, nu=None, training=False, rng=None):
-        """Teacher-forced decoder top states [T*B,d], time-major; nu [B,k]
-        is appended to every step's input."""
-        return self.decoder.forward(batch.decoder_inputs(), self.decoder.init_states(finals),
-                                    nu, training=training, rng=rng)
+        """Teacher-forced decoder top states [T*B,d], time-major, from the
+        encoder's finals; nu [B,k] is appended to every step's input."""
+        return self.decoder.forward(batch.decoder_inputs(), finals, nu, training=training, rng=rng)
 
     def word_loglik(self, h_tops, batch, topic_add=None):
         """Masked per-step log-likelihoods of the gold targets from the
@@ -88,35 +101,62 @@ class Seq2Seq(BaseModel):
         supply the terms that do not depend on nu; words have none."""
         return SeqLogLik(*self.word_loglik(h_tops, batch))
 
-    # ----- training / evaluation -------------------------------------------
+    def regularizer(self):
+        """Penalty on the family's own parameters added to the objective."""
+        return None
+
+    # ----- the bound ----------------------------------------------------------
+
+    def bound_terms(self, batch, enc, eps=None, training=False, rng=None):
+        """log p(y | x) from one decode of enc, this batch's encode; there
+        is no latent, so eps is ignored and there is no KL."""
+        finals, _ = enc
+        h_tops = self.decoder_h_tops(batch, finals, training=training, rng=rng)
+        return BoundTerms(self.seq_loglik(h_tops, batch, self.latent_inputs()),
+                          h_tops=h_tops)
+
+    def approx_nll(self, batch, enc=None, bound=None):
+        """-log p(y | x), exact here; enc and bound may carry this batch's
+        encode and BoundTerms, which are then reused."""
+        if bound is None:
+            bound = self.bound_terms(batch, enc or self.encode(batch.prompt, batch.prompt_len))
+        return -bound.ll.total()
 
     def objective(self, batch, w=1.0, training=True, rng=None, eps=None):
-        _, finals, _ = self.encode(
-            batch.prompt, batch.prompt_len, training=training, rng=rng
-        )
-        h_tops = self.decoder_h_tops(batch, finals, training=training, rng=rng)
-        ll = self.seq_loglik(h_tops, batch, self.latent_inputs())
-        obj = (-1.0 / batch.size) * ll.words_sum
-        nll = -ll.total()
+        """Negated bound averaged over the batch, KL weighted by w, plus the
+        family's regulariser; eps [B,k] is drawn from rng when not given."""
+        enc = self.encode(batch.prompt, batch.prompt_len, training=training, rng=rng)
+        bound = self.bound_terms(batch, enc, eps, training, rng)
+        ll, kl_rows = bound.ll, bound.kl_rows
+        neg = -1.0 * ll.words_sum
+        if ll.gate is not None:
+            neg = neg - ll.gate_sum
+        if kl_rows is not None:
+            kl_sum = ad.tsum(kl_rows)
+            neg = neg + w * kl_sum
+        obj = (1.0 / batch.size) * neg
+        penalty = self.regularizer()
+        if penalty is not None:
+            obj = obj + penalty
         stats = {
-            "nll": nll,
-            "recon": nll,
-            "kl": 0.0,
-            "gate": 0.0,
+            "recon": -float(ll.words_sum.data),
+            "kl": 0.0 if kl_rows is None else float(kl_sum.data),
+            "gate": 0.0 if ll.gate is None else -float(ll.gate_sum.data),
             "tokens": batch.n_tokens,
-            "per_seq_neg_bound": -ll.per_seq(batch),
-            "per_seq_kl": np.zeros(batch.size),
+            "per_seq_neg_bound": bound.neg_bound(batch),
+            "per_seq_kl": None if kl_rows is None else kl_rows.data.copy(),
         }
         return obj, stats
 
     @ad.no_grad()
     def eval_sums(self, batch, rng=None):
-        """Evaluation accumulators: approx NLL (= exact here), bound, KL."""
-        _, stats = self.objective(batch, training=False)
+        """The bound at one draw from rng (the posterior mean without one)
+        and the approximate NLL, from one encode of the batch."""
+        enc = self.encode(batch.prompt, batch.prompt_len)
+        bound = self.bound_terms(batch, enc, rng=rng)
         return {
-            "approx_nll": stats["nll"],
-            "tokens": stats["tokens"],
-            "per_seq_neg_bound": stats["per_seq_neg_bound"],
-            "per_seq_kl": None,
-            "n_seqs": batch.size,
+            "approx_nll": self.approx_nll(batch, enc, bound),
+            "tokens": batch.n_tokens,
+            "per_seq_neg_bound": bound.neg_bound(batch),
+            "per_seq_kl": None if bound.kl_rows is None else bound.kl_rows.data,
         }

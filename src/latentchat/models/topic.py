@@ -15,8 +15,8 @@ from .latent import (
     DiagonalGaussian,
     GaussianHead,
     GaussianLatentSeq2Seq,
-    eval_noise,
     kl_diag,
+    latent_noise,
     reparam_sample,
 )
 from .seq2seq import DecoderInputs, SeqLogLik
@@ -147,7 +147,7 @@ class TopicGatedSeq2Seq(GaussianLatentSeq2Seq):
     def gate_probs_forced(self, batch):
         """sigmoid(W2^T h_t) at reference positions -> ([T*B] probs,
         emitted token ids, validity mask)."""
-        _, finals, _ = self.encode(batch.prompt, batch.prompt_len)
+        finals, _ = self.encode(batch.prompt, batch.prompt_len)
         z = self.gate_logits(self.decoder_h_tops(batch, finals))
         probs = sigmoid(z.data)
         tgt, mask, _ = flat_targets(batch)
@@ -186,7 +186,7 @@ class NeuralTopicModel(BaseModel):
         q = self.infer_net(Tensor(bags))
         p = DiagonalGaussian.standard(b, self.cfg.k)
         if eps is None:
-            eps = rng.standard_normal((b, self.cfg.k))
+            eps = latent_noise(rng, b, self.cfg.k)
         nu = reparam_sample(q, eps)
         theta = topic_proportion(nu, self.w1)
         mix = self.word_mixture(theta)
@@ -204,7 +204,6 @@ class NeuralTopicModel(BaseModel):
         )
         obj = (1.0 / bags.shape[0]) * (-1.0 * ll_sum + w * kl_sum) + penalty
         stats = {
-            "nll": -float(ll_sum.data),
             "recon": -float(ll_sum.data),
             "kl": float(kl_sum.data),
             "gate": 0.0,
@@ -217,13 +216,11 @@ class NeuralTopicModel(BaseModel):
     @ad.no_grad()
     def eval_sums(self, batch, rng=None):
         bags = batch.bow_prompt + batch.bow_response
-        eps = eval_noise(rng, bags.shape[0], self.cfg.k)
-        ll_rows, kl_rows = self.bound(bags, eps=eps)
+        ll_rows, kl_rows = self.bound(bags, rng=rng)
         neg_bound = -ll_rows.data + kl_rows.data
         return {
             "approx_nll": float(neg_bound.sum()),
             "tokens": float(bags.sum()),
             "per_seq_neg_bound": neg_bound,
             "per_seq_kl": kl_rows.data.copy(),
-            "n_seqs": bags.shape[0],
         }

@@ -180,7 +180,6 @@ class Batch:
     prompt: np.ndarray        # [B, U_max] int ids, pad = 0
     prompt_len: np.ndarray    # [B]
     response: np.ndarray      # [B, T] targets y_1..y_M,</s>, pad = 0
-    response_len: np.ndarray  # [B] = M + 1 (includes </s>)
     mask: np.ndarray          # [B, T] 1.0 on real target steps
     gate_labels: np.ndarray   # [B, T] 1.0 = topic word
     bow_prompt: np.ndarray    # [B, L] counts over non-reserved ids
@@ -222,7 +221,6 @@ def assemble_batch(pairs, vocab, stopwords):
     prompt = np.zeros((b, u_max), dtype=np.int64)
     prompt_len = np.zeros(b, dtype=np.int64)
     response = np.zeros((b, t_max), dtype=np.int64)
-    response_len = np.zeros(b, dtype=np.int64)
     mask = np.zeros((b, t_max))
     gate = np.zeros((b, t_max))
     bow_p = np.zeros((b, L))
@@ -235,14 +233,13 @@ def assemble_batch(pairs, vocab, stopwords):
         prompt_len[r] = p.U
         response[r, : p.M] = p.response_ids
         response[r, p.M] = eos
-        response_len[r] = p.M + 1
         mask[r, : p.M + 1] = 1.0
         for t, tok_id in enumerate(p.response_ids):
             tok = vocab.token_of(tok_id)
             gate[r, t] = 0.0 if tok_id < N_RESERVED or tok in stopwords else 1.0
         bow_p[r] = bag_of_words(p.prompt_ids, L)
         bow_r[r] = bag_of_words(p.response_ids, L)
-    return Batch(prompt, prompt_len, response, response_len, mask, gate, bow_p, bow_r)
+    return Batch(prompt, prompt_len, response, mask, gate, bow_p, bow_r)
 
 
 def load_corpus(path):

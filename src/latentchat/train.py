@@ -9,13 +9,15 @@ import time
 import numpy as np
 
 from . import checkpoint as ckpt
-from .errors import TrainingError
+from .errors import ConfigError, TrainingError
 from .models import build_model
 from .models.latent import AnnealSchedule
 from .optim import Adam
 from .text import assemble_batch
 
 TRAIN, DEV, TEST = "train", "dev", "test"
+# config keys a resumed run may change: the epoch budget and the paths
+RESUMABLE_KEYS = ("epochs", "corpus", "checkpoint_dir")
 
 
 def split_of(index):
@@ -71,12 +73,24 @@ class Trainer:
             extra={"vocab_file": "vocab.txt", "stopword_file": "stopwords.txt"},
         )
 
-    def run(self, resume=None, log_name="train_log.jsonl"):
+    def _check_resume(self, path):
+        """Refuse a config that differs from the checkpoint's outside
+        RESUMABLE_KEYS: the run would no longer match an uninterrupted one."""
+        trained = ckpt.config_from_header(ckpt.read_header(path), path).to_dict()
+        now = self.cfg.to_dict()
+        changed = [f"{k}: {trained[k]!r} -> {now[k]!r}" for k in now
+                   if k not in RESUMABLE_KEYS and now[k] != trained[k]]
+        if changed:
+            raise ConfigError(f"cannot resume {path} with a changed config: "
+                              + "; ".join(changed))
+
+    def run(self, resume=None):
         start_epoch = 0
         if resume is not None:
+            self._check_resume(resume)
             header = ckpt.load(resume, self.model, optimizer=self.opt)
             start_epoch = int(header["epoch"])
-        log_path = os.path.join(self.out_dir, log_name)
+        log_path = os.path.join(self.out_dir, "train_log.jsonl")
         mode = "a" if start_epoch else "w"
         with open(log_path, mode, encoding="utf-8") as log:
             step = start_epoch * self.steps_per_epoch

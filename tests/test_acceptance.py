@@ -162,7 +162,7 @@ def test_criterion_02_bound_validity():
     for kind in ("lvs2s", "ltcm"):
         cfg = tiny_cfg(kind, k=1, latent_mode="unconditional")
         model = make_model(cfg)
-        _, finals, _ = model.encode(batch.prompt, batch.prompt_len)
+        finals, _ = model.encode(batch.prompt, batch.prompt_len)
         q = model.posterior(batch)
         mu, sig = q.mu.data[:, 0], np.exp(0.5 * q.logvar.data[:, 0])
 
@@ -264,7 +264,7 @@ def test_criterion_03_never_emitted_rows():
     grad = model.params["beta"].grad
 
     # numpy reference from the forward pieces
-    _, finals, _ = model.encode(batch.prompt, batch.prompt_len)
+    finals, _ = model.encode(batch.prompt, batch.prompt_len)
     h_tops = model.decoder_h_tops(batch, finals)
     logits = model.decoder.logits(h_tops).data  # [T*B,L]
     theta = topic_proportion(reparam_sample(model.posterior(batch), eps),

@@ -317,6 +317,53 @@ def test_resume_matches_uninterrupted_params(workspace, tmp_path):
         assert np.array_equal(a.params[k].data, b.params[k].data), k
 
 
+def _resume_dir(workspace, out, stop_extra=""):
+    """A copy of the s2s run's first checkpoint bundle, ready to resume."""
+    run = workspace / "s2s"
+    out.mkdir()
+    for name in ("last.ckpt", "vocab.txt"):
+        (out / name).write_bytes((run / name).read_bytes())
+    (out / "stopwords.txt").write_text((run / "stopwords.txt").read_text() + stop_extra)
+    return str(out / "last.ckpt")
+
+
+@pytest.mark.parametrize("key, cfg_extra, argv_extra", [
+    ("seed", "", ["--seed", "9"]),
+    ("lr", "lr: 0.01\n", []),
+], ids=["seed", "lr"])
+def test_resume_refuses_a_changed_config(workspace, tmp_path, capsys, key, cfg_extra,
+                                         argv_extra):
+    # only the epoch budget and the paths may change on resume; any other
+    # key would silently break bit-exact resume
+    cfg = tmp_path / "more.yaml"
+    cfg.write_text((workspace / "s2s.yaml").read_text().replace("epochs: 2", "epochs: 3")
+                   + cfg_extra)
+    out = tmp_path / "run"
+    last = _resume_dir(workspace, out)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--corpus",
+                 str(workspace / "data" / "corpus.jsonl"), "--out", str(out),
+                 "--resume", last] + argv_extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"changed config: {key}: " in err, err
+    assert ";" not in err  # no other key named
+    assert not (out / "final.ckpt").exists()
+
+
+def test_resume_rejects_a_stopword_outside_the_vocabulary(workspace, tmp_path, capsys):
+    cfg = tmp_path / "more.yaml"
+    cfg.write_text((workspace / "s2s.yaml").read_text().replace("epochs: 2", "epochs: 3"))
+    out = tmp_path / "run"
+    last = _resume_dir(workspace, out, stop_extra="zzzunseen\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--corpus",
+                 str(workspace / "data" / "corpus.jsonl"), "--out", str(out),
+                 "--resume", last]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / "stopwords.txt") in err, err
+    assert not (out / "final.ckpt").exists()
+
+
 def test_exit_codes(workspace, tmp_path, capsys):
     bad_cfg = tmp_path / "bad.yaml"
     bad_cfg.write_text("model: s2s\nwhatever: 1\n")

@@ -16,10 +16,10 @@ def test_duplicated_pair_gives_identical_finals():
     vocab = tiny_vocab()
     pair = tiny_pairs(vocab, n=1)[0]
     batch = assemble_batch([pair, pair], vocab, set())
-    _, finals, _ = model.encode(batch.prompt, batch.prompt_len)
-    for h, c in finals:
-        assert np.array_equal(h.data[0], h.data[1])
-        assert np.array_equal(c.data[0], c.data[1])
+    finals, u = model.encode(batch.prompt, batch.prompt_len)
+    for state in finals:
+        assert np.array_equal(state.data[0], state.data[1])
+    assert np.array_equal(u.data[0], u.data[1])
 
 
 def test_padding_does_not_change_per_sequence_loss():
@@ -48,7 +48,7 @@ def test_zero_output_projection_gives_uniform_loss():
     vocab = tiny_vocab()
     batch = tiny_batch(vocab)
     _, stats = model.objective(batch, training=False)
-    assert stats["nll"] == pytest.approx(batch.n_tokens * math.log(cfg.vocab_size), abs=1e-9)
+    assert stats["recon"] == pytest.approx(batch.n_tokens * math.log(cfg.vocab_size), abs=1e-9)
 
 
 def test_untrained_loss_near_uniform():
@@ -57,7 +57,7 @@ def test_untrained_loss_near_uniform():
     vocab = tiny_vocab()
     batch = tiny_batch(vocab, n=1, u=2, m=1)
     _, stats = model.objective(batch, training=False)
-    per_token = stats["nll"] / batch.n_tokens
+    per_token = stats["recon"] / batch.n_tokens
     assert abs(per_token - math.log(cfg.vocab_size)) < 0.5
 
 
@@ -99,10 +99,10 @@ def test_mask_carry_ignores_padded_prompt_steps():
     # manually widen the prompt with trailing pads
     wide = np.zeros((1, 6), dtype=np.int64)
     wide[0, :3] = batch1.prompt[0]
-    _, finals_a, _ = model.encode(batch1.prompt, batch1.prompt_len)
-    _, finals_b, _ = model.encode(wide, batch1.prompt_len)
-    for (ha, _), (hb, _) in zip(finals_a, finals_b):
-        assert np.allclose(ha.data, hb.data, atol=1e-12)
+    finals_a, _ = model.encode(batch1.prompt, batch1.prompt_len)
+    finals_b, _ = model.encode(wide, batch1.prompt_len)
+    for a, b in zip(finals_a, finals_b):
+        assert np.allclose(a.data, b.data, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["s2s", "lvs2s", "ltcm"])
@@ -113,11 +113,11 @@ def test_decoder_h_tops_matches_decoder_steps(kind):
     vocab = tiny_vocab()
     for n in (3, 1):
         batch = tiny_batch(vocab, rng=np.random.default_rng(n), n=n, u=3, m=4)
-        _, finals, _ = model.encode(batch.prompt, batch.prompt_len)
+        finals, _ = model.encode(batch.prompt, batch.prompt_len)
         nu = Tensor(np.random.default_rng(2).standard_normal((n, 2)))
         step_in = model.latent_inputs(nu).step
         h_tops = model.decoder_h_tops(batch, finals, nu=step_in)
-        states = model.decoder.init_states(finals)
+        states = finals
         ids = batch.decoder_inputs()
         with ad.no_grad():
             for t in range(ids.shape[1]):
@@ -135,14 +135,14 @@ def test_decoder_forward_draws_dropout_as_stepping_would(kind):
     cfg = tiny_cfg(kind, n_layers=3, residual_start=3, dropout=0.3)
     model = make_model(cfg)
     batch = tiny_batch(tiny_vocab(), n=3, u=3, m=4)
-    _, finals, _ = model.encode(batch.prompt, batch.prompt_len)
+    finals, _ = model.encode(batch.prompt, batch.prompt_len)
     nu = model.latent_inputs(Tensor(np.random.default_rng(2).standard_normal((3, 2)))).step
     h_tops = model.decoder_h_tops(batch, finals, nu=nu, training=True,
                                   rng=np.random.default_rng(7))
 
     rng, keep = np.random.default_rng(7), 1.0 - cfg.dropout
     dec = model.decoder
-    states = [s.data for s in dec.init_states(finals)]
+    states = [s.data for s in finals]
     ids = batch.decoder_inputs()
     for t in range(ids.shape[1]):
         x = dec.emb.data[ids[:, t]] * ((rng.random((3, cfg.d_emb)) >= cfg.dropout) / keep)

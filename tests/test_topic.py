@@ -55,7 +55,7 @@ def test_theta_simplex_under_all_paths():
     model = make_model(cfg)
     batch = tiny_batch(tiny_vocab())
     rng = np.random.default_rng(2)
-    _, _, u = model.encode(batch.prompt, batch.prompt_len)
+    _, u = model.encode(batch.prompt, batch.prompt_len)
     p = model.prior(u, batch.size)
     q = model.posterior(batch)
     for g, eps in ((p, np.zeros((batch.size, cfg.k))),
@@ -95,7 +95,7 @@ def test_gate_off_reduces_to_plain_logits():
     for k in plain.params:
         plain.params[k].data[...] = model.params[k].data
     _, plain_stats = plain.objective(batch, training=False)
-    assert stats["nll"] == pytest.approx(plain_stats["nll"], abs=1e-9)
+    assert stats["recon"] == pytest.approx(plain_stats["recon"], abs=1e-9)
 
 
 def test_gradient_routing_all_gates_zero():
@@ -134,7 +134,7 @@ def test_gate_loglik_uniform_head():
     model = make_model(cfg)
     model.params["gate_w2"].data[...] = 0.0
     batch = tiny_batch(tiny_vocab())
-    _, finals, _ = model.encode(batch.prompt, batch.prompt_len)
+    finals, _ = model.encode(batch.prompt, batch.prompt_len)
     h_tops = model.decoder_h_tops(batch, finals)
     _, total = model.gate_loglik(h_tops, batch)
     assert float(total.data) == pytest.approx(batch.n_tokens * math.log(0.5), abs=1e-9)
@@ -260,7 +260,7 @@ def test_ltcm_degenerate_perplexity_decomposition():
     batch = tiny_batch(tiny_vocab())
     _, plain_stats = plain.objective(batch, training=False)
     # word part matches s2s; gate factor adds ln 2 per token
-    expect = plain_stats["nll"] + batch.n_tokens * math.log(2.0)
+    expect = plain_stats["recon"] + batch.n_tokens * math.log(2.0)
     assert model.approx_nll(batch) == pytest.approx(expect, abs=1e-9)
 
 
@@ -285,7 +285,7 @@ def test_ltcm_objective_normalises_once_per_cell_step(monkeypatch):
     assert len(calls) == (2 + cfg.n_layers - 1) * u + cfg.n_layers * t
 
 
-@pytest.mark.parametrize("kind, decodes", [("lvs2s", 2), ("ltcm", 1)])
+@pytest.mark.parametrize("kind, decodes", [("s2s", 1), ("lvs2s", 2), ("ltcm", 1)])
 def test_eval_sums_decodes_once_for_ltcm_and_matches_both_passes(kind, decodes):
     cfg = tiny_cfg(kind)
     model = make_model(cfg)
@@ -304,23 +304,28 @@ def test_eval_sums_decodes_once_for_ltcm_and_matches_both_passes(kind, decodes):
             return real(*args, **kwargs)
         return wrapped
 
-    for name in calls:
+    wrapped = [name for name in calls if hasattr(model, name)]  # s2s has no prior
+    for name in wrapped:
         setattr(model, name, counting(name))
     sums = model.eval_sums(batch, rng=np.random.default_rng(4))
     # one encode and one prior serve the bound and the approximate NLL; the
-    # ltcm decoder takes no latent input, so one decode and its nu-free
-    # gate term serve both as well
-    assert calls == {"encode": 1, "decoder_h_tops": decodes, "prior": 1,
+    # s2s and ltcm decoders take no latent input, so one decode (and the
+    # nu-free ltcm gate term) serves both as well
+    assert calls == {"encode": 1, "decoder_h_tops": decodes,
+                     "prior": 0 if kind == "s2s" else 1,
                      **({"gate_loglik": 1} if kind == "ltcm" else {})}
-    for name in calls:
+    for name in wrapped:
         delattr(model, name)
 
     eps = np.random.default_rng(4).standard_normal((batch.size, cfg.k))
     _, stats = model.objective(batch, w=1.0, training=False, eps=eps)
     assert sums["approx_nll"] == model.approx_nll(batch)
     assert np.array_equal(sums["per_seq_neg_bound"], stats["per_seq_neg_bound"])
-    assert np.array_equal(sums["per_seq_kl"], stats["per_seq_kl"])
-    assert sums["tokens"] == stats["tokens"] and sums["n_seqs"] == batch.size
+    if kind == "s2s":
+        assert sums["per_seq_kl"] is None and stats["per_seq_kl"] is None
+    else:
+        assert np.array_equal(sums["per_seq_kl"], stats["per_seq_kl"])
+    assert sums["tokens"] == stats["tokens"]
 
 
 def test_gate_probs_saturate_without_overflow():
