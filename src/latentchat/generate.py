@@ -88,6 +88,8 @@ def generate(model, vocab, prompt_pairs, strategy=GREEDY, temperature=1.0,
     ]
     finals, u = model.encode(prompt, prompt_len)
     prior = model.prior(u, b) if latent == "conditional" else None
+    # u views the encoder top layer's whole [U,B,2d] output
+    del u
     for ri in range(n):
         rngs = [_stream_rng(seed, pi, ri) for pi in range(b)]
         responses, gates = _decode_round(

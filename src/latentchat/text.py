@@ -3,11 +3,20 @@
 Corpus files are JSON lines with string fields "prompt" and "response".
 Vocabulary files are one token per line, line number = id, with the
 reserved tokens first in fixed order.
+
+Standardisation runs its regexes over the whole text, not chunk by
+chunk, and gives what the chunk rule gives: of the whitespace-separated
+chunks, a reserved token is kept, a number becomes <number>, and any
+other chunk splits into runs of [a-z0-9_] and single other characters,
+the all-digit ones becoming <number>. Lookarounds on whitespace stand in
+for the chunk edges; regex whitespace and str.split's are the same set
+of characters.
 """
 
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +28,10 @@ RESERVED = [PAD, BOS, EOS, UNK, NUM, URL]
 N_RESERVED = len(RESERVED)
 
 _URL_RE = re.compile(r"(?:[a-z][a-z0-9+.\-]*://\S+|www\.\S+)")
-_NUMBER_RE = re.compile(r"[+-]?\d+(?:\.\d+)?\Z")
-_RESERVED_RE = re.compile(r"<(?:pad|s|/s|unk|number|url)>\Z")
-_PIECE_RE = re.compile(r"[a-z0-9_]+|[^a-z0-9_\s]")
+# a whole chunk that is a number
+_NUMBER_RE = re.compile(r"(?<!\S)[+-]?\d+(?:\.\d+)?(?!\S)")
+# a whole chunk that is a reserved token, else one piece of a chunk
+_TOKEN_RE = re.compile(r"<(?<!\S<)(?:pad|s|/s|unk|number|url)>(?!\S)|[a-z0-9_]+|[^a-z0-9_\s]")
 
 
 def standardize(text):
@@ -30,20 +40,18 @@ def standardize(text):
     Idempotent: placeholders and already-split tokens pass through.
     """
     text = text.lower()
-    text = _URL_RE.sub(f" {URL} ", text)
-    out = []
-    for chunk in text.split():
-        if _RESERVED_RE.match(chunk):
-            out.append(chunk)
-        elif _NUMBER_RE.match(chunk):
-            out.append(NUM)
-        else:
-            for piece in _PIECE_RE.findall(chunk):
-                out.append(NUM if piece.isdigit() else piece)
-    return " ".join(out)
+    # the URL pattern cannot match without one of these
+    if "://" in text or "www." in text:
+        text = _URL_RE.sub(f" {URL} ", text)
+    tokens = _TOKEN_RE.findall(_NUMBER_RE.sub(NUM, text))
+    return " ".join([NUM if t.isdigit() else t for t in tokens])
 
 
 def is_roman(text):
+    """Whether every letter of text is one of a-z."""
+    if text.isascii():
+        # the only ASCII letters are A-Z and a-z
+        return text.lower() == text
     return all(not ch.isalpha() or "a" <= ch <= "z" for ch in text)
 
 
@@ -66,7 +74,8 @@ class Vocabulary:
         return self.id_to_token[idx]
 
     def encode(self, tokens):
-        return np.array([self.lookup(t) for t in tokens], dtype=np.int64)
+        get, unk = self.token_to_id.get, self.token_to_id[UNK]
+        return np.array([get(t, unk) for t in tokens], dtype=np.int64)
 
     def idf(self, token):
         df = self.doc_freq.get(token, 0)
@@ -139,8 +148,8 @@ def build_vocab(corpus, size, max_len=50):
     """
     if size <= N_RESERVED:
         raise ConfigError(f"vocab size {size} must exceed {N_RESERVED} reserved slots")
-    term_freq = {}
-    doc_freq = {}
+    term_freq = Counter()
+    doc_freq = Counter()
     n_docs = 0
     for prompt, response in corpus:
         pair = filter_pair(prompt, response, max_len=max_len)
@@ -148,17 +157,16 @@ def build_vocab(corpus, size, max_len=50):
             continue
         n_docs += 1
         toks = pair.prompt_tokens + pair.response_tokens
-        for t in toks:
-            if t not in RESERVED:
-                term_freq[t] = term_freq.get(t, 0) + 1
-        for t in set(toks):
-            doc_freq[t] = doc_freq.get(t, 0) + 1
+        term_freq.update(toks)
+        doc_freq.update(set(toks))
     if n_docs == 0:
         raise DataError("corpus has no accepted pairs")
+    for t in RESERVED:
+        term_freq.pop(t, None)
     ranked = sorted(term_freq, key=lambda t: (-term_freq[t], t))
     kept = ranked[: size - N_RESERVED]
     vocab = Vocabulary(sorted(kept, key=lambda t: (-term_freq[t], t)))
-    vocab.doc_freq = {t: doc_freq[t] for t in doc_freq}
+    vocab.doc_freq = dict(doc_freq)
     vocab.n_docs = n_docs
     return vocab
 
@@ -201,12 +209,16 @@ class Batch:
         return inp
 
 
-def bag_of_words(ids, vocab_size):
-    bow = np.zeros(vocab_size)
-    for i in ids:
-        if i >= N_RESERVED:
-            bow[i] += 1.0
-    return bow
+def bag_of_words(ids, lengths, vocab_size):
+    """Counts of the non-reserved ids of each row, [len(lengths), vocab_size];
+    ids holds the rows end to end, lengths[r] of them in row r."""
+    n_rows = len(lengths)
+    rows = np.repeat(np.arange(n_rows), lengths)
+    real = ids >= N_RESERVED
+    slots = rows[real] * vocab_size + ids[real]
+    # the counts are small integers, exact in float64
+    bow = np.bincount(slots, minlength=n_rows * vocab_size).astype(np.float64)
+    return bow.reshape(n_rows, vocab_size)
 
 
 def assemble_batch(pairs, vocab, stopwords):
@@ -216,29 +228,32 @@ def assemble_batch(pairs, vocab, stopwords):
         raise DataError("cannot assemble an empty batch")
     L = len(vocab)
     b = len(pairs)
-    u_max = max(p.U for p in pairs)
-    t_max = max(p.M for p in pairs) + 1  # room for </s>
+    p_ids = np.concatenate([p.prompt_ids for p in pairs])
+    r_ids = np.concatenate([p.response_ids for p in pairs])
+    if np.any(p_ids == 0) or np.any(r_ids == 0):
+        raise DataError("pair contains <pad> inside the unpadded region")
+    prompt_len = np.array([p.U for p in pairs], dtype=np.int64)
+    r_len = np.array([p.M for p in pairs], dtype=np.int64)
+    u_max = int(prompt_len.max())
+    t_max = int(r_len.max()) + 1  # room for </s>
+    # a boolean-mask store fills row by row, the order of the concatenation
+    p_real = np.arange(u_max) < prompt_len[:, None]
+    r_real = np.arange(t_max) < r_len[:, None]
     prompt = np.zeros((b, u_max), dtype=np.int64)
-    prompt_len = np.zeros(b, dtype=np.int64)
+    prompt[p_real] = p_ids
     response = np.zeros((b, t_max), dtype=np.int64)
-    mask = np.zeros((b, t_max))
-    gate = np.zeros((b, t_max))
-    bow_p = np.zeros((b, L))
-    bow_r = np.zeros((b, L))
+    response[r_real] = r_ids
     eos = 2
-    for r, p in enumerate(pairs):
-        if np.any(p.prompt_ids == 0) or np.any(p.response_ids == 0):
-            raise DataError("pair contains <pad> inside the unpadded region")
-        prompt[r, : p.U] = p.prompt_ids
-        prompt_len[r] = p.U
-        response[r, : p.M] = p.response_ids
-        response[r, p.M] = eos
-        mask[r, : p.M + 1] = 1.0
-        for t, tok_id in enumerate(p.response_ids):
-            tok = vocab.token_of(tok_id)
-            gate[r, t] = 0.0 if tok_id < N_RESERVED or tok in stopwords else 1.0
-        bow_p[r] = bag_of_words(p.prompt_ids, L)
-        bow_r[r] = bag_of_words(p.response_ids, L)
+    response[np.arange(b), r_len] = eos
+    mask = (np.arange(t_max) < r_len[:, None] + 1).astype(np.float64)
+    topic = np.ones(L, dtype=bool)
+    topic[:N_RESERVED] = False
+    ids = vocab.token_to_id
+    topic[[ids[w] for w in stopwords if w in ids]] = False
+    gate = np.zeros((b, t_max))
+    gate[r_real] = topic[r_ids]
+    bow_p = bag_of_words(p_ids, prompt_len, L)
+    bow_r = bag_of_words(r_ids, r_len, L)
     return Batch(prompt, prompt_len, response, mask, gate, bow_p, bow_r)
 
 

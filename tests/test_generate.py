@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +133,28 @@ def test_generate_encodes_once_per_call():
     generate(model, vocab, tiny_pairs(vocab, n=2), strategy="sample",
              latent="conditional", n=3, seed=0, max_len=4)
     assert len(calls) == 1
+
+
+def test_generate_releases_the_prompt_summary_before_decoding():
+    vocab = tiny_vocab()
+    model = make_model(tiny_cfg("ltcm", max_len=4))
+    encode, step = model.encode, model.decoder.step
+    seen = {}
+
+    def encoding(*args, **kwargs):
+        finals, u = encode(*args, **kwargs)
+        # u views the top layer's [U,B,2d] output
+        seen["base"] = weakref.ref(u.data.base)
+        return finals, u
+
+    def stepping(*args, **kwargs):
+        seen.setdefault("alive_at_first_step", seen["base"]() is not None)
+        return step(*args, **kwargs)
+
+    model.encode, model.decoder.step = encoding, stepping
+    generate(model, vocab, tiny_pairs(vocab, n=2), strategy="sample",
+             latent="conditional", n=2, seed=0, max_len=4)
+    assert seen["alive_at_first_step"] is False
 
 
 def test_responses_terminate():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 
 from latentchat.errors import ConfigError, DataError
 from latentchat.text import (
+    N_RESERVED,
+    NUM,
+    URL,
     DialoguePair,
     Rejected,
     Vocabulary,
@@ -14,11 +18,64 @@ from latentchat.text import (
     bag_of_words,
     build_vocab,
     filter_pair,
+    is_roman,
     load_corpus,
     select_stopwords,
     standardize,
 )
 from latentchat.train import split_of, split_pairs
+
+# ---------------------------------------------------------------------------
+# chunk-by-chunk standardisation and the per-character roman check, kept as
+# references for the whole-text and ASCII versions in latentchat.text
+
+_URL_RE = re.compile(r"(?:[a-z][a-z0-9+.\-]*://\S+|www\.\S+)")
+_NUMBER_RE = re.compile(r"[+-]?\d+(?:\.\d+)?\Z")
+_RESERVED_RE = re.compile(r"<(?:pad|s|/s|unk|number|url)>\Z")
+_PIECE_RE = re.compile(r"[a-z0-9_]+|[^a-z0-9_\s]")
+
+
+def standardize_per_chunk(text):
+    text = text.lower()
+    text = _URL_RE.sub(f" {URL} ", text)
+    out = []
+    for chunk in text.split():
+        if _RESERVED_RE.match(chunk):
+            out.append(chunk)
+        elif _NUMBER_RE.match(chunk):
+            out.append(NUM)
+        else:
+            for piece in _PIECE_RE.findall(chunk):
+                out.append(NUM if piece.isdigit() else piece)
+    return " ".join(out)
+
+
+def is_roman_per_char(text):
+    return all(not ch.isalpha() or "a" <= ch <= "z" for ch in text)
+
+
+def filter_pair_reference(prompt, response, vocab, max_len):
+    p = standardize_per_chunk(prompt)
+    r = standardize_per_chunk(response)
+    if not is_roman_per_char(p) or not is_roman_per_char(r):
+        return "non_roman"
+    p_toks, r_toks = p.split(), r.split()
+    if not p_toks or not r_toks:
+        return "empty"
+    if len(p_toks) > max_len or len(r_toks) > max_len:
+        return "too_long"
+    return [vocab.lookup(t) for t in p_toks], [vocab.lookup(t) for t in r_toks]
+
+
+# pieces that reach every branch of standardisation: ASCII words and
+# punctuation, digits, URLs, placeholders, non-ASCII letters and digits
+# (the Kelvin sign lowers to an ASCII k) and unusual whitespace
+_PIECES = (
+    list("abcxyzABCXYZ0129_+-.,!<>/:")
+    + ["www.", "http://", "<unk>", "<number>", "é", "²", "٣", "İ", "\u212a"]
+    + [" ", "\t", "\x1c", "\xa0"]
+)
+raw_text = st.lists(st.sampled_from(_PIECES), max_size=24).map("".join)
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +105,33 @@ def test_standardize_idempotent(text):
     assert standardize(once) == once
 
 
+@given(raw_text)
+@settings(max_examples=400, deadline=None)
+def test_standardize_and_is_roman_match_the_per_chunk_reference(text):
+    out = standardize(text)
+    assert out == standardize_per_chunk(text)
+    for s in (text, out):
+        assert is_roman(s) == is_roman_per_char(s)
+
+
 # ---------------------------------------------------------------------------
 # pair filtering
+
+_FILTER_VOCAB = build_vocab([("a b c x y z", "abc xyz _ , . ! < > / : + -"),
+                             ("www . http : / <number>", "é ² i")], 40)
+
+
+@given(raw_text, raw_text)
+@settings(max_examples=300, deadline=None)
+def test_filter_pair_matches_the_reference(prompt, response):
+    res = filter_pair(prompt, response, _FILTER_VOCAB, max_len=6)
+    want = filter_pair_reference(prompt, response, _FILTER_VOCAB, max_len=6)
+    if isinstance(res, Rejected):
+        assert res.reason == want
+    else:
+        assert isinstance(want, tuple)
+        for ids, ref in ((res.prompt_ids, want[0]), (res.response_ids, want[1])):
+            assert ids.dtype == np.int64 and ids.tolist() == ref
 
 
 def test_overlong_prompt_rejected():
@@ -221,15 +303,63 @@ def test_decoder_inputs_shift():
 def test_bag_of_words_counts():
     vocab = build_vocab([("see", "cat cat dog")], 20)
     ids = vocab.encode(["cat", "cat", "dog"])
-    bow = bag_of_words(ids, len(vocab))
+    bows = bag_of_words(ids, [len(ids)], len(vocab))
+    assert bows.shape == (1, len(vocab))
+    bow = bows[0]
     assert bow[vocab.lookup("cat")] == 2.0
     assert bow[vocab.lookup("dog")] == 1.0
     assert bow.sum() == 3.0
 
 
 def test_bag_of_words_excludes_reserved():
-    bow = bag_of_words(np.array([1, 2, 3, 7]), 10)
+    bow = bag_of_words(np.array([1, 2, 3, 7]), [4], 10)[0]
     assert bow[:6].sum() == 0.0 and bow[7] == 1.0
+
+
+def assemble_batch_per_token(pairs, vocab, stopwords):
+    L, b = len(vocab), len(pairs)
+    u_max = max(p.U for p in pairs)
+    t_max = max(p.M for p in pairs) + 1
+    prompt = np.zeros((b, u_max), dtype=np.int64)
+    prompt_len = np.zeros(b, dtype=np.int64)
+    response = np.zeros((b, t_max), dtype=np.int64)
+    mask = np.zeros((b, t_max))
+    gate = np.zeros((b, t_max))
+    bow_p = np.zeros((b, L))
+    bow_r = np.zeros((b, L))
+    for r, p in enumerate(pairs):
+        prompt[r, : p.U] = p.prompt_ids
+        prompt_len[r] = p.U
+        response[r, : p.M] = p.response_ids
+        response[r, p.M] = 2
+        mask[r, : p.M + 1] = 1.0
+        for t, tok_id in enumerate(p.response_ids):
+            tok = vocab.token_of(tok_id)
+            gate[r, t] = 0.0 if tok_id < N_RESERVED or tok in stopwords else 1.0
+        for bow, ids in ((bow_p, p.prompt_ids), (bow_r, p.response_ids)):
+            for i in ids:
+                if i >= N_RESERVED:
+                    bow[r, i] += 1.0
+    return prompt, prompt_len, response, mask, gate, bow_p, bow_r
+
+
+_BATCH_VOCAB = Vocabulary([f"w{i}" for i in range(14)])
+_ids = st.lists(st.integers(1, len(_BATCH_VOCAB) - 1), min_size=1, max_size=7)
+
+
+@given(
+    st.lists(st.tuples(_ids, _ids), min_size=1, max_size=6),
+    st.sets(st.sampled_from(_BATCH_VOCAB.id_to_token + ["absent"])),
+)
+@settings(max_examples=200, deadline=None)
+def test_assemble_batch_matches_the_per_token_reference(id_pairs, stopwords):
+    pairs = [DialoguePair(np.array(p, dtype=np.int64), np.array(r, dtype=np.int64))
+             for p, r in id_pairs]
+    batch = assemble_batch(pairs, _BATCH_VOCAB, stopwords)
+    got = (batch.prompt, batch.prompt_len, batch.response, batch.mask,
+           batch.gate_labels, batch.bow_prompt, batch.bow_response)
+    for a, want in zip(got, assemble_batch_per_token(pairs, _BATCH_VOCAB, stopwords)):
+        assert a.dtype == want.dtype and np.array_equal(a, want)
 
 
 def test_empty_batch_rejected():
